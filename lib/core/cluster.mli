@@ -21,41 +21,21 @@
 
 type detection = Immediate | On_timeout
 
-type settings = {
-  detection : detection;
-  trace : bool;
-  obs : Raid_obs.Trace.sink option;
-  telemetry : Raid_obs.Telemetry.t option;
-}
-(** Cross-cutting observation and failure-detection knobs, gathered in
-    one record so [create] does not grow an optional argument per
-    concern.  [obs] is handed to every site: one sink collects the whole
-    cluster's protocol trace (entries carry the emitting site's id).
-    [telemetry], when given, is instrumented over every layer — per-site
-    gauges (fail-lock table sizes, pending 2PC cardinalities, session
-    up-counts), engine event/message/virtual-time counters via
-    {!Raid_net.Engine.set_probe}, polled {!Metrics} totals and
-    per-outcome latency histograms — and sampled at its interval as the
-    engine's clock advances; telemetry reads but never changes the
-    run. *)
-
-val default_settings : settings
-(** [Immediate] detection, no trace, no sink, no telemetry. *)
-
-val settings :
-  ?detection:detection ->
-  ?trace:bool ->
-  ?obs:Raid_obs.Trace.sink ->
-  ?telemetry:Raid_obs.Telemetry.t ->
-  unit ->
-  settings
-(** {!default_settings} with the given fields overridden. *)
-
 (** The full construction row, as one record — everything a cluster
-    needs to exist as {e one tenant among many} in a process rather than
-    the implicit only cluster.  {!settings} covers the single-cluster
-    observation knobs; [Spec] adds the per-tenant dimensions:
+    needs, including what it needs to exist as {e one tenant among many}
+    in a process rather than the implicit only cluster:
 
+    - [detection] picks the failure-detection mode above;
+    - [trace] turns on the network engine's message trace;
+    - [obs] is handed to every site: one sink collects the whole
+      cluster's protocol trace (entries carry the emitting site's id);
+    - [telemetry], when given, is instrumented over every layer —
+      per-site gauges (fail-lock table sizes, pending 2PC cardinalities,
+      session up-counts), engine event/message/virtual-time counters via
+      {!Raid_net.Engine.set_probe}, polled {!Metrics} totals and
+      per-outcome latency histograms — and sampled at its interval as
+      the engine's clock advances; telemetry reads but never changes the
+      run;
     - [telemetry_labels] is prepended to the labels of {e every} series
       this cluster registers (the multi-tenant engine passes
       [("tenant", n)]), so thousands of clusters can share one registry
@@ -87,10 +67,8 @@ module Spec : sig
     ?wal_factory:wal_factory ->
     Config.t ->
     t
-  (** Defaults mirror {!default_settings}: [Immediate] detection, no
-      trace, no sinks, no labels, private WALs. *)
-
-  val of_settings : settings -> Config.t -> t
+  (** Defaults: [Immediate] detection, no trace, no sinks, no labels,
+      private WALs. *)
 end
 
 type t
@@ -99,9 +77,9 @@ val of_spec : Spec.t -> t
 (** A fresh cluster built from the full specification: all sites up,
     databases identical, no fail-locks. *)
 
-val create : ?settings:settings -> Config.t -> t
-(** [of_spec (Spec.of_settings settings config)] — the single-cluster
-    form.  [settings] defaults to {!default_settings}. *)
+val create : Config.t -> t
+(** [of_spec (Spec.make config)] — a cluster with every {!Spec}
+    default. *)
 
 val config : t -> Config.t
 val metrics : t -> Metrics.t
@@ -111,6 +89,11 @@ val site : t -> int -> Site.t
 
 val alive : t -> int -> bool
 val alive_sites : t -> int list
+
+val operational_sites : t -> int list
+(** Sites that may coordinate a transaction: alive and not waiting for
+    recovery state (a recovery that returned [`Blocked]), in ascending
+    id order.  Every driver picks its coordinators from this list. *)
 
 val fail_site : t -> int -> unit
 (** Crash a site between transactions.  Volatile state is lost; database,

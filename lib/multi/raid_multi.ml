@@ -2,7 +2,6 @@ module Config = Raid_core.Config
 module Cluster = Raid_core.Cluster
 module Workload = Raid_core.Workload
 module Metrics = Raid_core.Metrics
-module Site = Raid_core.Site
 module Engine = Raid_net.Engine
 module Vtime = Raid_net.Vtime
 module Wal = Raid_storage.Wal
@@ -116,13 +115,7 @@ let make_tenant spec ~tenant ~wal_factory ~obs ~telemetry =
 
 (* Coordinators must be alive and done recovering; the failure plan
    keeps at least sites-1 of them so this never empties. *)
-let pick_coordinator st =
-  let operational =
-    List.filter
-      (fun s -> not (Site.is_waiting (Cluster.site st.cluster s)))
-      (Cluster.alive_sites st.cluster)
-  in
-  Rng.choose st.rng operational
+let pick_coordinator st = Rng.choose st.rng (Cluster.operational_sites st.cluster)
 
 let apply_failure_plan spec st =
   if has_failure_plan spec st.t_id then begin

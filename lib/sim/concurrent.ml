@@ -19,33 +19,22 @@ type result = {
 }
 
 type state = {
-  cluster : Cluster.t;
+  driver : Driver.t;
   locks : Lock_manager.t;
   mutable waiting : (Txn.t * (int * Lock_manager.mode) list) list;  (* id order *)
   assigned : (int, int) Hashtbl.t;  (* in-flight txn -> its coordinator *)
   mutable in_flight : int;
   mutable max_in_flight : int;
   mutable lost : int;
-  mutable next_coordinator : int;
+  mutable held : bool;  (* no admission while a churn action runs *)
   concurrency : int;
 }
-
-let pick_coordinator state =
-  let operational =
-    List.filter
-      (fun s -> not (Raid_core.Site.is_waiting (Cluster.site state.cluster s)))
-      (Cluster.alive_sites state.cluster)
-  in
-  let n = List.length operational in
-  let pick = List.nth operational (state.next_coordinator mod n) in
-  state.next_coordinator <- state.next_coordinator + 1;
-  pick
 
 (* Admit every waiting transaction whose locks are free, skipping any that
    conflicts with an earlier waiting transaction (per-item version order
    must follow transaction ids). *)
 let rec admit state =
-  if state.in_flight < state.concurrency then begin
+  if (not state.held) && state.in_flight < state.concurrency then begin
     let rec scan earlier = function
       | [] -> None
       | ((txn, lockset) as entry) :: rest ->
@@ -62,9 +51,9 @@ let rec admit state =
       state.waiting <- remaining;
       state.in_flight <- state.in_flight + 1;
       state.max_in_flight <- max state.max_in_flight state.in_flight;
-      let coordinator = pick_coordinator state in
+      let coordinator = Driver.choose_coordinator state.driver in
       Hashtbl.replace state.assigned txn.Txn.id coordinator;
-      Cluster.inject_txn state.cluster ~coordinator txn;
+      Cluster.inject_txn (Driver.cluster state.driver) ~coordinator txn;
       admit state
   end
 
@@ -87,27 +76,30 @@ let run ?(seed = 17) ?(concurrency = 4) ?(txns = 200) ?(churn = []) ?telemetry ~
     ~workload () =
   if concurrency <= 0 then invalid_arg "Concurrent.run: concurrency must be positive";
   if txns <= 0 then invalid_arg "Concurrent.run: txns must be positive";
-  let cluster = Cluster.create ~settings:(Cluster.settings ?telemetry ()) config in
-  let generator =
-    Workload.create workload ~num_items:config.Config.num_items ~rng:(Rng.create seed)
+  let cluster = Cluster.of_spec (Cluster.Spec.make ?telemetry config) in
+  let rng = Rng.create seed in
+  (* Round-robin never draws from [rng], so the workload may own its stream. *)
+  let driver =
+    Driver.create ~policy:Scenario.Round_robin ~rng
+      ~workload:(Workload.create workload ~num_items:config.Config.num_items ~rng)
+      cluster
   in
   let state =
     {
-      cluster;
+      driver;
       locks = Lock_manager.create ~num_items:config.Config.num_items;
       waiting = [];
       assigned = Hashtbl.create 16;
       in_flight = 0;
       max_in_flight = 0;
       lost = 0;
-      next_coordinator = 0;
+      held = false;
       concurrency;
     }
   in
   state.waiting <-
     List.init txns (fun _ ->
-        let id = Cluster.next_txn_id cluster in
-        let txn = Workload.next generator ~id in
+        let txn = Driver.next_txn driver in
         (txn, Lock_manager.of_txn txn));
   (match telemetry with
   | None -> ()
@@ -133,27 +125,38 @@ let run ?(seed = 17) ?(concurrency = 4) ?(txns = 200) ?(churn = []) ?telemetry ~
          admit state));
   admit state;
   (* Drive to quiescence, applying churn events once their completion
-     thresholds are reached. *)
+     thresholds are reached.  Failing or recovering a site runs the
+     engine to quiescence, so admission is held while the due actions
+     run: otherwise the outcome hook would keep admitting and the rest of
+     the batch would run inside the first action, past every later
+     threshold. *)
   let pending_churn = ref (List.sort compare churn) in
   let finished () = !committed + !aborted + state.lost in
-  let apply_due_churn () =
+  let churn_due () =
+    match !pending_churn with (threshold, _) :: _ -> finished () >= threshold | [] -> false
+  in
+  let rec apply_due_churn () =
     match !pending_churn with
-    | (threshold, action) :: rest when finished () >= threshold ->
+    | (_, action) :: rest when churn_due () ->
       pending_churn := rest;
       (match action with
       | `Fail site ->
-        Cluster.fail_site cluster site;
+        Driver.fail driver site;
         reap_lost state site
-      | `Recover site -> if not (Cluster.alive cluster site) then ignore (Cluster.recover_site cluster site));
-      admit state
+      | `Recover site ->
+        if not (Cluster.alive cluster site) then ignore (Driver.recover driver site));
+      apply_due_churn ()
     | _ -> ()
   in
   let engine = Cluster.engine cluster in
   let rec drive () =
-    apply_due_churn ();
-    if Raid_net.Engine.step engine then drive ()
-    else if !pending_churn <> [] && finished () >= fst (List.hd !pending_churn) then drive ()
-    else ()
+    if churn_due () then begin
+      state.held <- true;
+      apply_due_churn ();
+      state.held <- false;
+      admit state
+    end;
+    if Raid_net.Engine.step engine || churn_due () then drive ()
   in
   drive ();
   Cluster.set_outcome_hook cluster None;

@@ -39,11 +39,13 @@ val run :
   result
 (** Run a batch of [txns] (default 200) generated transactions with up to
     [concurrency] (default 4) in flight, coordinators assigned round-robin
-    over operational sites.
+    over operational sites by a {!Driver}.
 
     [churn] injects failures into the running batch: [(n, `Fail s)] fails
     site [s] once [n] transactions have finished (committed, aborted or
-    lost); [`Recover s] brings it back.  Transactions in flight at a
+    lost); [`Recover s] brings it back.  No transaction is admitted while
+    an action runs, so each fires within [concurrency] completions of its
+    threshold.  Transactions in flight at a
     crashed coordinator are counted as [lost]; transactions that had the
     crashed site as a participant abort through the normal Appendix-A
     branches and are re-admitted never (they count as [aborted]).
@@ -51,7 +53,9 @@ val run :
     [telemetry] additionally registers driver-level gauges
     ([raid_lock_table_locked], [raid_lock_queue_depth],
     [raid_lock_in_flight]) on top of the cluster instrumentation.
-    @raise Invalid_argument on non-positive [concurrency] or [txns]. *)
+    @raise Invalid_argument on non-positive [concurrency] or [txns], or
+    when churn leaves no operational site to coordinate a waiting
+    transaction. *)
 
 type sweep_row = {
   level : int;

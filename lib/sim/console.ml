@@ -8,19 +8,19 @@ module Workload = Raid_core.Workload
 module Database = Raid_storage.Database
 module Rng = Raid_util.Rng
 
-type t = { cluster : Cluster.t; workload : Workload.t; rng : Rng.t }
+type t = Driver.t
 
 let create ?(sites = 4) ?(items = 50) ?(max_ops = 5) ?(seed = 42) () =
   let config = Config.make ~num_sites:sites ~num_items:items () in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~trace:true ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~trace:true config) in
   let rng = Rng.create seed in
   let workload =
     Workload.create (Workload.Uniform { max_ops; write_prob = 0.5 }) ~num_items:items
       ~rng:(Rng.split rng)
   in
-  { cluster; workload; rng }
+  Driver.create ~policy:Scenario.Uniform_random ~rng ~workload cluster
 
-let cluster t = t.cluster
+let cluster = Driver.cluster
 
 let help_text =
   "commands:\n\
@@ -57,39 +57,31 @@ let describe_outcome outcome =
       | None -> "unknown")
 
 let status t print =
+  let cluster = cluster t in
   print (Printf.sprintf "%-5s %-8s %-8s %-12s %s" "site" "alive" "session" "state" "locked items");
-  for s = 0 to Cluster.num_sites t.cluster - 1 do
-    let site = Cluster.site t.cluster s in
+  for s = 0 to Cluster.num_sites cluster - 1 do
+    let site = Cluster.site cluster s in
     print
-      (Printf.sprintf "%-5d %-8b %-8d %-12s %d" s (Cluster.alive t.cluster s)
+      (Printf.sprintf "%-5d %-8b %-8d %-12s %d" s (Cluster.alive cluster s)
          (Site.session_number site)
          (Format.asprintf "%a" Session.pp_state (Session.state (Site.vector site) s))
-         (Cluster.faillock_count_for t.cluster s))
+         (Cluster.faillock_count_for cluster s))
   done;
-  print (Printf.sprintf "fully consistent: %b" (Cluster.fully_consistent t.cluster))
+  print (Printf.sprintf "fully consistent: %b" (Cluster.fully_consistent cluster))
 
 let submit t print ~coordinator ops =
-  let id = Cluster.next_txn_id t.cluster in
-  print (describe_outcome (Cluster.submit t.cluster ~coordinator (Txn.make ~id ops)))
+  let id = Cluster.next_txn_id (cluster t) in
+  print (describe_outcome (Cluster.submit (cluster t) ~coordinator (Txn.make ~id ops)))
 
 let auto t print n coordinator =
+  Driver.set_policy t
+    (match coordinator with Some c -> Scenario.Fixed c | None -> Scenario.Uniform_random);
   for _ = 1 to n do
-    let operational =
-      List.filter
-        (fun s -> not (Site.is_waiting (Cluster.site t.cluster s)))
-        (Cluster.alive_sites t.cluster)
-    in
-    match operational with
-    | [] -> print "no operational site"
-    | sites ->
-      let coordinator = match coordinator with Some c -> c | None -> Rng.choose t.rng sites in
-      let id = Cluster.next_txn_id t.cluster in
-      print
-        (describe_outcome (Cluster.submit t.cluster ~coordinator (Workload.next t.workload ~id)))
+    print (describe_outcome (Driver.submit_next t))
   done
 
 let show_db t print site item =
-  let db = Site.database (Cluster.site t.cluster site) in
+  let db = Site.database (Cluster.site (cluster t) site) in
   let show_item item =
     match Database.read db item with
     | Some (value, version) ->
@@ -128,14 +120,14 @@ let interpret t print line =
   | [ "fail"; site ] ->
     (match int_of_string_opt site with
     | Some site ->
-      Cluster.fail_site t.cluster site;
+      Driver.fail t site;
       print (Printf.sprintf "site %d failed" site)
     | None -> print "usage: fail <site>");
     `Continue
   | [ "recover"; site ] ->
     (match int_of_string_opt site with
     | Some site -> (
-      match Cluster.recover_site t.cluster site with
+      match Driver.recover t site with
       | `Recovered -> print (Printf.sprintf "site %d recovered" site)
       | `Blocked -> print (Printf.sprintf "site %d blocked: no operational donor" site))
     | None -> print "usage: recover <site>");
@@ -143,7 +135,7 @@ let interpret t print line =
   | [ "terminate"; site ] ->
     (match int_of_string_opt site with
     | Some site ->
-      Cluster.terminate_site t.cluster site;
+      Driver.terminate t site;
       print (Printf.sprintf "site %d terminated gracefully" site)
     | None -> print "usage: terminate <site>");
     `Continue
@@ -155,7 +147,7 @@ let interpret t print line =
     | Some site ->
       print
         (Printf.sprintf "items fail-locked for site %d: %s" site
-           (String.concat ", " (List.map string_of_int (Cluster.faillocks_for t.cluster site))))
+           (String.concat ", " (List.map string_of_int (Cluster.faillocks_for (cluster t) site))))
     | None -> print "usage: faillocks <site>");
     `Continue
   | "db" :: site :: rest ->
@@ -165,12 +157,12 @@ let interpret t print line =
     | _ -> print "usage: db <site> [item]");
     `Continue
   | [ "trace" ] ->
-    List.iter (fun e -> print (Timeline.describe_entry e)) (Timeline.entries t.cluster);
+    List.iter (fun e -> print (Timeline.describe_entry e)) (Timeline.entries (cluster t));
     `Continue
   | [ "trace"; n ] ->
     (match int_of_string_opt n with
     | Some n ->
-      let all = Timeline.entries t.cluster in
+      let all = Timeline.entries (cluster t) in
       let skip = max 0 (List.length all - n) in
       List.iteri (fun i e -> if i >= skip then print (Timeline.describe_entry e)) all
     | None -> print "usage: trace [n]");
@@ -178,10 +170,10 @@ let interpret t print line =
   | [ "metrics" ] ->
     List.iter
       (fun (name, value) -> print (Printf.sprintf "%-28s %d" name value))
-      (Metrics.snapshot_counts (Cluster.metrics t.cluster));
+      (Metrics.snapshot_counts (Cluster.metrics (cluster t)));
     `Continue
   | [ "check" ] ->
-    (match Raid_core.Invariant.all t.cluster with
+    (match Raid_core.Invariant.all (cluster t) with
     | Ok () -> print "all invariants hold"
     | Error message -> print (Printf.sprintf "VIOLATION: %s" message));
     `Continue

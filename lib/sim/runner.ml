@@ -1,156 +1,64 @@
 module Cluster = Raid_core.Cluster
 module Workload = Raid_core.Workload
 module Metrics = Raid_core.Metrics
+module Txn = Raid_core.Txn
 module Invariant = Raid_core.Invariant
 module Rng = Raid_util.Rng
 
-type txn_record = {
-  index : int;
-  outcome : Metrics.outcome;
-  faillocks_per_site : int array;
-  cumulative_aborts : int;
-  cumulative_copiers : int;
-}
+type txn_record = { index : int; outcome : Metrics.outcome; faillocks_per_site : int array }
 
 type result = {
   cluster : Cluster.t;
   records : txn_record list;
   committed : int;
   aborted : int;
-  operational_at_commit : (int, int list) Hashtbl.t;
 }
-
-type state = {
-  scenario : Scenario.t;
-  cluster : Cluster.t;
-  workload : Workload.t;
-  rng : Rng.t;  (* coordinator choice; independent of the workload stream *)
-  mutable policy : Scenario.coordinator_policy;
-  mutable round_robin_cursor : int;
-  mutable records_rev : txn_record list;
-  mutable committed : int;
-  mutable aborted : int;
-  mutable copiers : int;
-  operational_at_commit : (int, int list) Hashtbl.t;
-}
-
-let choose_coordinator state =
-  let operational =
-    List.filter
-      (fun s -> not (Raid_core.Site.is_waiting (Cluster.site state.cluster s)))
-      (Cluster.alive_sites state.cluster)
-  in
-  if operational = [] then invalid_arg "Runner: no operational site to coordinate";
-  match state.policy with
-  | Scenario.Fixed site ->
-    if List.mem site operational then site
-    else invalid_arg (Printf.sprintf "Runner: fixed coordinator %d is not operational" site)
-  | Scenario.Uniform_random -> Rng.choose state.rng operational
-  | Scenario.Weighted weights ->
-    let available = List.filter (fun (s, w) -> w > 0.0 && List.mem s operational) weights in
-    if available = [] then Rng.choose state.rng operational
-    else Rng.choose_weighted state.rng available
-  | Scenario.Round_robin ->
-    let n = List.length operational in
-    let pick = List.nth operational (state.round_robin_cursor mod n) in
-    state.round_robin_cursor <- state.round_robin_cursor + 1;
-    pick
-
-let run_one_txn state =
-  let id = Cluster.next_txn_id state.cluster in
-  let txn = Workload.next state.workload ~id in
-  let coordinator = choose_coordinator state in
-  let outcome = Cluster.submit state.cluster ~coordinator txn in
-  if outcome.Metrics.committed then begin
-    state.committed <- state.committed + 1;
-    Hashtbl.replace state.operational_at_commit id (Cluster.alive_sites state.cluster)
-  end
-  else state.aborted <- state.aborted + 1;
-  state.copiers <- state.copiers + outcome.Metrics.copier_requests;
-  let faillocks_per_site = Cluster.faillock_counts state.cluster in
-  state.records_rev <-
-    {
-      index = id;
-      outcome;
-      faillocks_per_site;
-      cumulative_aborts = state.aborted;
-      cumulative_copiers = state.copiers;
-    }
-    :: state.records_rev
-
-let check state =
-  match Invariant.all state.cluster with
-  | Ok () -> ()
-  | Error message -> failwith (Printf.sprintf "Runner: invariant violated: %s" message)
-
-let run_action state ~check_invariants action =
-  (match action with
-  | Scenario.Run_txns n ->
-    for _ = 1 to n do
-      run_one_txn state
-    done
-  | Scenario.Fail site -> Cluster.fail_site state.cluster site
-  | Scenario.Recover site -> ignore (Cluster.recover_site state.cluster site)
-  | Scenario.Set_policy policy -> state.policy <- policy
-  | Scenario.Run_until_recovered { site; max_txns } ->
-    let rec loop remaining =
-      if remaining > 0 && Cluster.faillock_count_for state.cluster site > 0 then begin
-        run_one_txn state;
-        loop (remaining - 1)
-      end
-    in
-    loop max_txns
-  | Scenario.Run_until_consistent { max_txns } ->
-    let rec loop remaining =
-      if remaining > 0 && not (Cluster.fully_consistent state.cluster) then begin
-        run_one_txn state;
-        loop (remaining - 1)
-      end
-    in
-    loop max_txns);
-  if check_invariants then check state
 
 let run ?(check_invariants = true) ?(trace = false) ?obs ?telemetry (scenario : Scenario.t) =
   let cluster =
-    Cluster.create
-      ~settings:(Cluster.settings ~detection:scenario.Scenario.detection ~trace ?obs ?telemetry ())
-      scenario.Scenario.config
+    Cluster.of_spec
+      (Cluster.Spec.make ~detection:scenario.Scenario.detection ~trace ?obs ?telemetry
+         scenario.Scenario.config)
   in
   let rng = Rng.create scenario.Scenario.seed in
-  let workload_rng = Rng.split rng in
   let workload =
     Workload.create scenario.Scenario.workload
-      ~num_items:scenario.Scenario.config.Raid_core.Config.num_items ~rng:workload_rng
+      ~num_items:scenario.Scenario.config.Raid_core.Config.num_items ~rng:(Rng.split rng)
   in
-  let state =
-    {
-      scenario;
-      cluster;
-      workload;
-      rng;
-      policy = scenario.Scenario.policy;
-      round_robin_cursor = 0;
-      records_rev = [];
-      committed = 0;
-      aborted = 0;
-      copiers = 0;
-      operational_at_commit = Hashtbl.create 64;
-    }
+  let driver = Driver.create ~policy:scenario.Scenario.policy ~rng ~workload cluster in
+  let records_rev = ref [] in
+  let rec run_while condition remaining =
+    if remaining > 0 && condition () then begin
+      let outcome = Driver.submit_next driver in
+      let faillocks_per_site = Cluster.faillock_counts cluster in
+      records_rev :=
+        { index = outcome.Metrics.txn.Txn.id; outcome; faillocks_per_site } :: !records_rev;
+      run_while condition (remaining - 1)
+    end
   in
-  List.iter (run_action state ~check_invariants) scenario.Scenario.actions;
-  {
-    cluster;
-    records = List.rev state.records_rev;
-    committed = state.committed;
-    aborted = state.aborted;
-    operational_at_commit = state.operational_at_commit;
-  }
+  let run_action action =
+    (match action with
+    | Scenario.Run_txns n -> run_while (fun () -> true) n
+    | Scenario.Fail site -> Driver.fail driver site
+    | Scenario.Recover site -> ignore (Driver.recover driver site)
+    | Scenario.Set_policy policy -> Driver.set_policy driver policy
+    | Scenario.Run_until_recovered { site; max_txns } ->
+      run_while (fun () -> Cluster.faillock_count_for cluster site > 0) max_txns
+    | Scenario.Run_until_consistent { max_txns } ->
+      run_while (fun () -> not (Cluster.fully_consistent cluster)) max_txns);
+    if check_invariants then
+      match Invariant.all cluster with
+      | Ok () -> ()
+      | Error message -> failwith (Printf.sprintf "Runner: invariant violated: %s" message)
+  in
+  List.iter run_action scenario.Scenario.actions;
+  let records = List.rev !records_rev in
+  let committed = List.length (List.filter (fun r -> r.outcome.Metrics.committed) records) in
+  { cluster; records; committed; aborted = List.length records - committed }
 
 let series (result : result) ~site =
   List.map
     (fun r -> (float_of_int r.index, float_of_int r.faillocks_per_site.(site)))
     result.records
-
-let abort_count (result : result) = result.aborted
 
 let final_faillocks (result : result) ~site = Cluster.faillock_count_for result.cluster site

@@ -1,18 +1,15 @@
 (** Scenario execution and per-transaction series collection.
 
-    The runner plays the managing site: it walks a {!Scenario.t}'s action
-    list, generates workload transactions, picks coordinators per policy,
-    and records after every transaction the data behind the paper's
-    figures — the number of items fail-locked for each site, cumulative
-    copier transactions and aborts. *)
+    The runner walks a {!Scenario.t}'s action list over a {!Driver} (the
+    managing site: workload, coordinator policy, failures) and records
+    after every transaction the data behind the paper's figures — the
+    number of items fail-locked for each site. *)
 
 type txn_record = {
   index : int;  (** serial transaction number, from 1 *)
   outcome : Raid_core.Metrics.outcome;
   faillocks_per_site : int array;
       (** oracle fail-lock count for each site, after this transaction *)
-  cumulative_aborts : int;
-  cumulative_copiers : int;
 }
 
 type result = {
@@ -20,8 +17,6 @@ type result = {
   records : txn_record list;  (** in execution order *)
   committed : int;
   aborted : int;
-  operational_at_commit : (int, int list) Hashtbl.t;
-      (** txn id -> sites alive at completion (for durability checks) *)
 }
 
 val run :
@@ -45,7 +40,5 @@ val run :
 
 val series : result -> site:int -> (float * float) list
 (** (transaction number, fail-locks for [site]) — a figure's data. *)
-
-val abort_count : result -> int
 
 val final_faillocks : result -> site:int -> int

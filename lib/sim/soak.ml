@@ -100,11 +100,7 @@ let events t =
       acc + c.Engine.delivered + c.Engine.timer_fired)
     0 t.tenants
 
-let refresh_operational tn =
-  tn.tn_operational <-
-    List.filter
-      (fun s -> not (Site.is_waiting (Cluster.site tn.tn_cluster s)))
-      (Cluster.alive_sites tn.tn_cluster)
+let refresh_operational tn = tn.tn_operational <- Cluster.operational_sites tn.tn_cluster
 
 let rebuild_workload t =
   let spec =

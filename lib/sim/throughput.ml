@@ -5,7 +5,6 @@ module Metrics = Raid_core.Metrics
 module Engine = Raid_net.Engine
 module Vtime = Raid_net.Vtime
 module Rng = Raid_util.Rng
-module Stats = Raid_util.Stats
 module Table = Raid_util.Table
 module Pool = Raid_par.Pool
 
@@ -75,11 +74,6 @@ let abort_rate r =
   let total = r.committed + r.aborted in
   if total = 0 then 0.0 else float_of_int r.aborted /. float_of_int total
 
-(* Host-side events per wall-clock second; the caller supplies the wall
-   time so the simulation result itself stays deterministic. *)
-let events_per_sec ~wall_s r =
-  if wall_s <= 0.0 then 0.0 else float_of_int r.events /. wall_s
-
 (* The steady-state stream.  Transactions are drawn from a uniform
    workload and submitted serially in virtual time (the paper's sites run
    serially); the stream is open-loop in the sense that load never adapts
@@ -97,7 +91,7 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
      benchmark's deterministic fields must not depend on it either way. *)
   let recorder = if record_incidents then Some (Raid_obs.Incident.recorder ()) else None in
   let obs = Option.map Raid_obs.Incident.recorder_sink recorder in
-  let cluster = Cluster.create ~settings:(Cluster.settings ?telemetry ?obs ()) ccfg in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ?telemetry ?obs ccfg) in
   let engine = Cluster.engine cluster in
   let metrics = Cluster.metrics cluster in
   let rng = Rng.create seed in
@@ -107,8 +101,12 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
     | Some theta ->
       Workload.Zipfian { max_ops = config.max_ops; write_prob = config.write_prob; theta }
   in
-  let workload = Workload.create workload_spec ~num_items:config.items ~rng:(Rng.split rng) in
-  let committed = ref 0 and aborted = ref 0 and submitted = ref 0 in
+  let driver =
+    Driver.create ~policy:Scenario.Uniform_random ~rng
+      ~workload:(Workload.create workload_spec ~num_items:config.items ~rng:(Rng.split rng))
+      cluster
+  in
+  let committed = ref 0 and aborted = ref 0 in
   let windows = Hashtbl.create 32 in
   let failed = ref false and recovered_once = ref false in
   let now_ms () = Vtime.to_ms (Engine.now engine) in
@@ -122,23 +120,6 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
     match config.failure with
     | Some f when !failed && now_ms () >= f.recover_at_ms -> Some f.fail_site
     | _ -> None
-  in
-  (* The operational set only changes at the staged failure/recovery
-     (and a blocked recovery), so the candidate list is cached rather
-     than rebuilt per transaction — an O(sites) allocation that dominated
-     the driver at large site counts.  [Rng.choose] consumes one draw
-     either way, so the stream is unchanged. *)
-  let operational = ref [] in
-  let refresh_operational () =
-    operational :=
-      List.filter
-        (fun s -> not (Raid_core.Site.is_waiting (Cluster.site cluster s)))
-        (Cluster.alive_sites cluster)
-  in
-  refresh_operational ();
-  let pick_coordinator () =
-    if !operational = [] then invalid_arg "Throughput: no operational site";
-    Rng.choose rng !operational
   in
   (* Each window keeps its commit/abort tallies plus a snapshot of the
      cumulative protocol counters at its last recorded transaction; the
@@ -173,21 +154,17 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
   while now_ms () < config.duration_ms do
     (match fail_due () with
     | Some site ->
-      Cluster.fail_site cluster site;
-      failed := true;
-      refresh_operational ()
+      Driver.fail driver site;
+      failed := true
     | None -> ());
     (match recover_due () with
     | Some site ->
-      (match Cluster.recover_site cluster site with
+      (match Driver.recover driver site with
       | `Recovered -> recovered_once := true
       | `Blocked -> ());
-      failed := false;
-      refresh_operational ()
+      failed := false
     | None -> ());
-    let id = Cluster.next_txn_id cluster in
-    incr submitted;
-    record (Cluster.submit cluster ~coordinator:(pick_coordinator ()) (Workload.next workload ~id))
+    record (Driver.submit_next driver)
   done;
   (match telemetry with
   | None -> ()
@@ -195,7 +172,7 @@ let run ?(seed = 42) ?telemetry ?(record_incidents = false) config =
   let counters = Engine.counters engine in
   {
     seed;
-    submitted = !submitted;
+    submitted = !committed + !aborted;
     committed = !committed;
     aborted = !aborted;
     copier_requests = metrics.Metrics.copier_requests;
@@ -283,12 +260,6 @@ let results_table ~config results =
         ])
     results;
   table
-
-let summary results =
-  let stat f = Stats.summarize (List.map f results) in
-  ( stat txns_per_vsec,
-    stat abort_rate,
-    stat (fun r -> float_of_int r.events) )
 
 let windows_csv r =
   let buffer = Buffer.create 256 in

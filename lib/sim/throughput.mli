@@ -100,15 +100,7 @@ val txns_per_vsec : result -> float
 val abort_rate : result -> float
 (** Aborted / (committed + aborted); 0 on an empty run. *)
 
-val events_per_sec : wall_s:float -> result -> float
-(** Host-side events per wall-clock second; the caller measures the wall
-    time (keeps [result] deterministic). *)
-
 val results_table : config:config -> result list -> Raid_util.Table.t
-
-val summary :
-  result list -> Raid_util.Stats.summary * Raid_util.Stats.summary * Raid_util.Stats.summary
-(** (txns/vsec, abort rate, events) across runs. *)
 
 val windows_csv : result -> string
 (** The per-virtual-second trajectory as CSV with header

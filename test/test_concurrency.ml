@@ -199,6 +199,36 @@ let test_churn_without_recovery () =
   Alcotest.(check bool) "fail-locks accumulated for the dead site" true
     (Cluster.faillock_count_for result.Concurrent.cluster 2 > 0)
 
+let test_churn_leaves_no_coordinator () =
+  Alcotest.check_raises "no operational site"
+    (Invalid_argument "Driver: no operational site to coordinate") (fun () ->
+      ignore
+        (Concurrent.run ~concurrency:2 ~txns:40
+           ~churn:[ (0, `Fail 0); (0, `Fail 1); (0, `Fail 2) ]
+           ~config:(base_config ~num_sites:3 ()) ~workload ()))
+
+let test_churn_fires_on_time () =
+  (* Three failures due after two completions.  Each must fire before
+     more than [concurrency] further transactions complete, so no failed
+     site may coordinate an outcome later than threshold + concurrency. *)
+  let concurrency = 2 and threshold = 2 in
+  let result =
+    Concurrent.run ~concurrency ~txns:40
+      ~churn:[ (threshold, `Fail 0); (threshold, `Fail 1); (threshold, `Fail 2) ]
+      ~config:(base_config ()) ~workload ()
+  in
+  Alcotest.(check int) "books balance" 40
+    (result.Concurrent.committed + result.Concurrent.aborted + result.Concurrent.lost);
+  List.iteri
+    (fun position outcome ->
+      let coordinator = outcome.Metrics.coordinator in
+      if coordinator <> 3 then
+        Alcotest.(check bool)
+          (Printf.sprintf "site %d coordinated completion %d" coordinator (position + 1))
+          true
+          (position + 1 <= threshold + concurrency))
+    (Cluster.outcomes result.Concurrent.cluster)
+
 let test_validation () =
   Alcotest.check_raises "bad concurrency"
     (Invalid_argument "Concurrent.run: concurrency must be positive") (fun () ->
@@ -249,4 +279,7 @@ let suite =
     Alcotest.test_case "churn mid-batch" `Quick test_churn_mid_batch;
     Alcotest.test_case "churn without recovery" `Quick test_churn_without_recovery;
     Alcotest.test_case "validation" `Quick test_validation;
+    Alcotest.test_case "churn leaving no coordinator raises" `Quick
+      test_churn_leaves_no_coordinator;
+    Alcotest.test_case "churn fires on time" `Quick test_churn_fires_on_time;
   ]

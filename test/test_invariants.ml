@@ -17,12 +17,7 @@ type step = Run_txn | Fail_one | Recover_one
 
 let interpret_step cluster rng workload operational_log = function
   | Run_txn -> begin
-    let operational =
-      List.filter
-        (fun s -> not (Site.is_waiting (Cluster.site cluster s)))
-        (Cluster.alive_sites cluster)
-    in
-    match operational with
+    match Cluster.operational_sites cluster with
     | [] -> ()
     | sites ->
       let coordinator = Rng.choose rng sites in
@@ -51,7 +46,7 @@ let interpret_step cluster rng workload operational_log = function
 
 let run_schedule ~num_sites ~num_items ~detection ~recovery ~seed steps =
   let config = Config.make ~cost:Cost_model.free ~recovery ~num_sites ~num_items () in
-  let cluster = Cluster.create ~settings:(Cluster.settings ~detection ()) config in
+  let cluster = Cluster.of_spec (Cluster.Spec.make ~detection config) in
   let rng = Rng.create seed in
   let workload =
     Workload.create (Workload.Uniform { max_ops = 4; write_prob = 0.5 }) ~num_items

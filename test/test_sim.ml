@@ -37,7 +37,7 @@ let test_runner_fixed_policy_rejects_down_site () =
       [ Scenario.Fail 0; Scenario.Run_txns 1 ]
   in
   Alcotest.check_raises "fixed coordinator down"
-    (Invalid_argument "Runner: fixed coordinator 0 is not operational") (fun () ->
+    (Invalid_argument "Driver: fixed coordinator 0 is not operational") (fun () ->
       ignore (Runner.run scenario))
 
 let test_runner_round_robin () =
@@ -50,6 +50,31 @@ let test_runner_round_robin () =
     List.map (fun r -> r.Runner.outcome.Raid_core.Metrics.coordinator) result.Runner.records
   in
   Alcotest.(check (list int)) "cycles" [ 0; 1; 2; 0; 1; 2 ] coordinators
+
+let test_weighted_drops_down_sites () =
+  (* Site 0 carries weight but is down: its weight must be dropped, not
+     spread uniformly, so every transaction goes to the other weighted
+     site and none to the unweighted one. *)
+  let config = Config.make ~cost:Cost_model.free ~num_sites:3 ~num_items:10 () in
+  let scenario =
+    Scenario.make ~policy:(Scenario.Weighted [ (0, 5.0); (2, 1.0) ]) ~config ~workload
+      [ Scenario.Fail 0; Scenario.Run_txns 10 ]
+  in
+  let result = Runner.run scenario in
+  let coordinators =
+    List.map (fun r -> r.Runner.outcome.Raid_core.Metrics.coordinator) result.Runner.records
+  in
+  Alcotest.(check (list int)) "only the live weighted site" (List.init 10 (fun _ -> 2)) coordinators
+
+let test_operational_sites_excludes_blocked () =
+  let cluster = Cluster.create small_config in
+  Alcotest.(check (list int)) "all up" [ 0; 1 ] (Cluster.operational_sites cluster);
+  Cluster.fail_site cluster 1;
+  Alcotest.(check (list int)) "down site left out" [ 0 ] (Cluster.operational_sites cluster);
+  Cluster.fail_site cluster 0;
+  Alcotest.(check bool) "no donor" true (Cluster.recover_site cluster 0 = `Blocked);
+  Alcotest.(check (list int)) "blocked site is alive" [ 0 ] (Cluster.alive_sites cluster);
+  Alcotest.(check (list int)) "but not operational" [] (Cluster.operational_sites cluster)
 
 let test_run_until_consistent_stops () =
   let scenario =
@@ -118,4 +143,7 @@ let suite =
     Alcotest.test_case "experiment 1 within 10% of paper" `Slow test_experiment1_shapes;
     Alcotest.test_case "experiment 2 shape (figure 1)" `Slow test_experiment2_shape;
     Alcotest.test_case "experiment 3 shapes (figures 2-3)" `Slow test_experiment3_shapes;
+    Alcotest.test_case "weighted policy drops down sites" `Quick test_weighted_drops_down_sites;
+    Alcotest.test_case "operational sites exclude blocked" `Quick
+      test_operational_sites_excludes_blocked;
   ]
