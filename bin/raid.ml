@@ -32,6 +32,24 @@ let jobs =
 
 let set_jobs n = Raid_par.Pool.set_default_domains n
 
+(* A bad argument value is a usage error: report it and exit 2, the code
+   Cmdliner itself uses for a malformed command line. *)
+let usage_error verb fmt =
+  Printf.ksprintf
+    (fun message ->
+      Printf.eprintf "raid %s: %s\n" verb message;
+      exit 2)
+    fmt
+
+(* The [--replication-factor]/[--sharding] pair of [throughput] and
+   [serve]: factor 0 keeps the paper's full replication. *)
+let replication ~verb ~factor ~sharding =
+  if factor = 0 then Raid_core.Config.Full
+  else
+    match Raid_core.Placement.sharding_of_string sharding with
+    | Error message -> usage_error verb "%s" message
+    | Ok sharding -> Raid_core.Config.Partial (Raid_core.Placement.spec ~sharding ~factor ())
+
 let print_exp1 () =
   List.iter
     (fun report ->
@@ -300,13 +318,11 @@ let trace_cmd =
     else
     match scenario_name with
     | None ->
-      prerr_endline "raid trace: a SCENARIO argument is required (see --list)";
-      exit 2
+      usage_error "trace" "a SCENARIO argument is required (see --list)"
     | Some scenario_name ->
     match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
     | Error message ->
-      prerr_endline ("raid trace: " ^ message);
-      exit 2
+      usage_error "trace" "%s" message
     | Ok scenario ->
       (* The summary's latency statistics silently skew if the ring
          wraps, so give it room; the export formats keep the default
@@ -386,14 +402,10 @@ let metrics_cmd =
         (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
         Raid_sim.Monitor.scenarios
     else begin
-    if sample <= 0.0 then begin
-      prerr_endline "raid metrics: --sample must be positive";
-      exit 2
-    end;
+    if sample <= 0.0 then usage_error "metrics" "--sample must be positive";
     match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
     | Error message ->
-      prerr_endline ("raid metrics: " ^ message);
-      exit 2
+      usage_error "metrics" "%s" message
     | Ok scenario ->
       let output = Raid_sim.Monitor.run ~sample:(Raid_net.Vtime.of_ms_f sample) scenario in
       let rendered = Raid_sim.Monitor.render ~format output in
@@ -455,8 +467,7 @@ let explain_cmd =
     set_jobs jobs;
     match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
     | Error message ->
-      prerr_endline ("raid explain: " ^ message);
-      exit 2
+      usage_error "explain" "%s" message
     | Ok scenario ->
       (* Span assembly needs the whole stream: a wrapped ring loses the
          oldest transactions' begins, so give the collector the same
@@ -474,15 +485,13 @@ let explain_cmd =
           match Raid_obs.Span.find trees id with
           | Some tree -> tree
           | None ->
-            Printf.eprintf "raid explain: no transaction %d in scenario %s (%d traced)\n" id
-              scenario_name (List.length trees);
-            exit 2)
+            usage_error "explain" "no transaction %d in scenario %s (%d traced)" id
+              scenario_name (List.length trees))
         | None -> (
           match Raid_obs.Span.slowest trees with
           | Some tree -> tree
           | None ->
-            prerr_endline "raid explain: the scenario traced no transactions";
-            exit 2)
+            usage_error "explain" "the scenario traced no transactions")
       in
       if json then print_endline (Raid_obs.Json.to_string (Raid_obs.Span.json tree))
       else print_string (Raid_obs.Span.render tree)
@@ -530,8 +539,7 @@ let incidents_cmd =
     set_jobs jobs;
     match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
     | Error message ->
-      prerr_endline ("raid incidents: " ^ message);
-      exit 2
+      usage_error "incidents" "%s" message
     | Ok scenario ->
       let output = Raid_sim.Tracing.run ~capacity:(1 lsl 20) scenario in
       let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
@@ -664,22 +672,12 @@ let throughput_cmd =
   let run sites items max_ops write_prob duration seeds seed no_failure fail_at recover_at smoke
       csv telemetry sample replication_factor sharding zipf_theta jobs =
     set_jobs jobs;
-    let replication =
-      if replication_factor = 0 then Raid_core.Config.Full
-      else
-        match Raid_core.Placement.sharding_of_string sharding with
-        | Error message ->
-          Printf.eprintf "raid throughput: %s\n" message;
-          exit 2
-        | Ok sharding ->
-          Raid_core.Config.Partial
-            (Raid_core.Placement.spec ~sharding ~factor:replication_factor ())
-    in
+    let replication = replication ~verb:"throughput" ~factor:replication_factor ~sharding in
     let duration = if smoke then Float.min duration 1000.0 else duration in
     let failure =
       if no_failure then None
       else begin
-        let default = Raid_sim.Throughput.default_failure ~sites ~duration_ms:duration in
+        let default = Raid_sim.Throughput.default_failure ~duration_ms:duration in
         Some
           {
             default with
@@ -691,13 +689,13 @@ let throughput_cmd =
       end
     in
     let config =
-      Raid_sim.Throughput.make_config ~sites ~items ~max_ops ~write_prob ~duration_ms:duration
-        ?failure ~replication ?zipf_theta ()
+      try
+        Raid_sim.Throughput.make_config ~sites ~items ~max_ops ~write_prob ~duration_ms:duration
+          ?failure ~replication ?zipf_theta ()
+      with Invalid_argument message -> usage_error "throughput" "%s" message
     in
-    if sample <= 0.0 then begin
-      prerr_endline "raid throughput: --sample must be positive";
-      exit 2
-    end;
+    if seeds < 1 then usage_error "throughput" "--seeds must be positive";
+    if sample <= 0.0 then usage_error "throughput" "--sample must be positive";
     let registry =
       match telemetry with
       | None -> None
@@ -756,6 +754,9 @@ let concurrency_cmd =
   in
   let run levels txns jobs =
     set_jobs jobs;
+    if List.exists (fun level -> level < 1) levels then
+      usage_error "concurrency" "--levels must all be positive";
+    if txns < 1 then usage_error "concurrency" "--txns must be positive";
     Table.print (Raid_sim.Concurrent.sweep_table (Raid_sim.Concurrent.sweep ~levels ~txns ()))
   in
   Cmd.v
@@ -836,21 +837,8 @@ let serve_cmd =
   in
   let run port accel sample tenants sites items max_ops write_prob duration seed
       replication_factor sharding zipf_theta =
-    if sample <= 0.0 then begin
-      prerr_endline "raid serve: --sample must be positive";
-      exit 2
-    end;
-    let replication =
-      if replication_factor = 0 then Raid_core.Config.Full
-      else
-        match Raid_core.Placement.sharding_of_string sharding with
-        | Error message ->
-          Printf.eprintf "raid serve: %s\n" message;
-          exit 2
-        | Ok sharding ->
-          Raid_core.Config.Partial
-            (Raid_core.Placement.spec ~sharding ~factor:replication_factor ())
-    in
+    if sample <= 0.0 then usage_error "serve" "--sample must be positive";
+    let replication = replication ~verb:"serve" ~factor:replication_factor ~sharding in
     let config =
       Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
         ?zipf_theta ~accel ~sample:(Raid_net.Vtime.of_ms_f sample) ~seed ~port
@@ -972,8 +960,7 @@ let crashmatrix_cmd =
               match Crashmatrix.point_of_name (String.trim name) with
               | Some p -> p
               | None ->
-                Printf.eprintf "raid crashmatrix: unknown crash point %S (see --list)\n" name;
-                exit 2)
+                usage_error "crashmatrix" "unknown crash point %S (see --list)" name)
             (String.split_on_char ',' names)
       in
       let seeds = match seeds with Some s -> s | None -> if smoke then [ 1 ] else [ 1; 2; 3 ] in
@@ -1094,9 +1081,7 @@ let multi_cmd =
       try
         Raid_multi.spec ~tenants ~sites ~items ~txns ~shards ~batch ~seed ~wal_mode ~fail_every
           ()
-      with Invalid_argument message ->
-        Printf.eprintf "raid multi: %s\n" message;
-        exit 2
+      with Invalid_argument message -> usage_error "multi" "%s" message
     in
     let t0 = Unix.gettimeofday () in
     let result = Raid_multi.run spec in
@@ -1143,4 +1128,15 @@ let main_cmd =
       repl_cmd;
     ]
 
-let () = exit (Cmd.eval main_cmd)
+(* An unwritable output path ([--csv], [-o], [--telemetry], [--incidents])
+   is an I/O failure, not a bug: report it plainly and exit 1.  Anything
+   else escaping a verb stays Cmdliner's internal error (exit 125). *)
+let () =
+  match Cmd.eval ~catch:false main_cmd with
+  | code -> exit code
+  | exception Sys_error message ->
+    Printf.eprintf "raid: %s\n" message;
+    exit 1
+  | exception e ->
+    Printf.eprintf "raid: internal error, uncaught exception:\n%s\n" (Printexc.to_string e);
+    exit Cmd.Exit.internal_error

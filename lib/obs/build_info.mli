@@ -1,8 +1,7 @@
 (** Build provenance as a metric.
 
-    BENCH_results.json already stamps every benchmark run with the git
-    SHA that produced it; the live-operations surface and [raid metrics]
-    export the same provenance as a Prometheus [raid_build_info] gauge —
+    The live-operations surface and [raid metrics] export the git SHA
+    of the running build as a Prometheus [raid_build_info] gauge —
     the conventional constant-1 metric whose labels carry the version
     and revision, so a scrape can always answer "which build is this?".
 

@@ -5,7 +5,6 @@ let set_default_domains n =
   Atomic.set default n
 
 let default_domains () = Atomic.get default
-let recommended_domains () = Domain.recommended_domain_count ()
 
 type 'b slot = Pending | Done of 'b | Failed of exn * Printexc.raw_backtrace
 

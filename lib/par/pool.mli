@@ -24,10 +24,6 @@ val set_default_domains : int -> unit
 val default_domains : unit -> int
 (** Current default domain count. *)
 
-val recommended_domains : unit -> int
-(** The runtime's recommendation for this host
-    ({!Domain.recommended_domain_count}); a sensible [-j] value. *)
-
 val map : ?domains:int -> ('a -> 'b) -> 'a list -> 'b list
 (** [map ~domains f xs] applies [f] to every element of [xs] using up to
     [domains] domains and returns the results in input order.

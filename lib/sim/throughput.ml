@@ -26,9 +26,15 @@ let make_config ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(write_prob = 0.5)
   if sites <= 0 then invalid_arg "Throughput: sites must be positive";
   if items <= 0 then invalid_arg "Throughput: items must be positive";
   if duration_ms <= 0.0 then invalid_arg "Throughput: duration must be positive";
+  (match zipf_theta with
+  | Some theta when not (theta > 0.0 && theta < 1.0) ->
+    invalid_arg "Throughput: zipf_theta must be in (0,1)"
+  | _ -> ());
   (match failure with
   | None -> ()
   | Some { fail_site; fail_at_ms; recover_at_ms } ->
+    (* The failed site would be the only one: nothing could coordinate. *)
+    if sites < 2 then invalid_arg "Throughput: a failure plan needs at least 2 sites";
     if fail_site < 0 || fail_site >= sites then invalid_arg "Throughput: fail_site out of range";
     if fail_at_ms < 0.0 || recover_at_ms <= fail_at_ms then
       invalid_arg "Throughput: need 0 <= fail_at < recover_at");
@@ -37,7 +43,7 @@ let make_config ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(write_prob = 0.5)
 (* Failure times are absolute virtual times (not fractions of the
    duration), so a longer run of the same seed is a strict extension of a
    shorter one — the monotonicity property the tests pin. *)
-let default_failure ~sites:_ ~duration_ms =
+let default_failure ~duration_ms =
   { fail_site = 0; fail_at_ms = duration_ms /. 5.0; recover_at_ms = duration_ms /. 2.0 }
 
 type window = {

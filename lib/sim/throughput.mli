@@ -36,10 +36,11 @@ val make_config :
   config
 (** Defaults: 16 sites, 500 items, txn <= 5 ops, P(write) 0.5, 10 000
     virtual ms, no failure, full replication, uniform items.
-    @raise Invalid_argument on non-positive sizes/duration, an
+    @raise Invalid_argument on non-positive sizes/duration, a
+    [zipf_theta] outside (0,1), a failure plan on a 1-site cluster, an
     out-of-range [fail_site], or [recover_at_ms <= fail_at_ms]. *)
 
-val default_failure : sites:int -> duration_ms:float -> failure
+val default_failure : duration_ms:float -> failure
 (** Site 0 down from 1/5 to 1/2 of the duration — computed once into
     absolute times, so extending the duration afterwards still yields a
     prefix-compatible schedule. *)

@@ -4,7 +4,7 @@
     "number of transactions" for one to four sites.  This module renders
     such series as a fixed-size character grid with axes, tick labels and
     a per-series legend, so the figure reproductions are visible straight
-    from [dune exec bench/main.exe]. *)
+    from [raid exp 2] and [raid exp 3]. *)
 
 type series = {
   label : string;

@@ -1,7 +1,8 @@
 (* Tests for the multi-tenant engine: the determinism contract (results
    and CSV are a pure function of the spec — independent of the domain
    count and of the WAL mode), the shared-WAL batching win, tenant crash
-   isolation, and the shared log's accounting. *)
+   isolation, exact pins on a 200-tenant run, and the shared log's
+   accounting. *)
 
 module Multi = Raid_multi
 module Shared_wal = Raid_storage.Shared_wal
@@ -15,6 +16,9 @@ let small_spec ?(wal_mode = Multi.Shared { group_size = 16 }) ?(fail_every = 6) 
 let tenant_fields (r : Multi.tenant_result) =
   (r.Multi.tenant, r.Multi.shard, r.Multi.submitted, r.Multi.committed, r.Multi.aborted,
    r.Multi.events, r.Multi.recovered)
+
+let flushes r =
+  Array.fold_left (fun a (w : Shared_wal.stats) -> a + w.Shared_wal.flushes) 0 r.Multi.wal
 
 let with_domains n f =
   let before = Pool.default_domains () in
@@ -49,9 +53,6 @@ let test_wal_mode_invariance () =
         true
         (tenant_fields r = tenant_fields per_tenant.Multi.results.(i)))
     shared.Multi.results;
-  let flushes r =
-    Array.fold_left (fun a (w : Shared_wal.stats) -> a + w.Shared_wal.flushes) 0 r.Multi.wal
-  in
   let records r =
     Array.fold_left (fun a (w : Shared_wal.stats) -> a + w.Shared_wal.records) 0 r.Multi.wal
   in
@@ -109,6 +110,23 @@ let test_spec_validation () =
   invalid "Multi.spec: non-positive group_size" (fun () ->
       ignore (Multi.spec ~tenants:1 ~wal_mode:(Multi.Shared { group_size = 0 }) ()))
 
+(* Exact pins on a 200-tenant population (8 sites, 64 items, 30 txns,
+   8 shards, a failure in every 10th tenant) in both WAL modes: protocol
+   counts agree across modes, and only the flush count tells them apart. *)
+let test_pinned_200_tenants () =
+  let check ~wal_mode ~label ~expected_flushes =
+    let result =
+      Multi.run
+        (Multi.spec ~tenants:200 ~sites:8 ~items:64 ~txns:30 ~shards:8 ~fail_every:10 ~wal_mode
+           ())
+    in
+    Alcotest.(check int) (label ^ ": events") 173565 (Multi.total_events result);
+    Alcotest.(check int) (label ^ ": committed") 6000 (Multi.total_committed result);
+    Alcotest.(check int) (label ^ ": wal flushes") expected_flushes (flushes result)
+  in
+  check ~wal_mode:(Multi.Shared { group_size = 64 }) ~label:"shared/64" ~expected_flushes:2425;
+  check ~wal_mode:Multi.Per_tenant ~label:"per-tenant" ~expected_flushes:154967
+
 (* {2 Shared_wal accounting} *)
 
 let test_shared_wal_grouping () =
@@ -152,4 +170,5 @@ let suite =
     Alcotest.test_case "spec validation" `Quick test_spec_validation;
     Alcotest.test_case "shared wal: group commit accounting" `Quick test_shared_wal_grouping;
     Alcotest.test_case "shared wal: digest covers tenant stream" `Quick test_shared_wal_digest;
+    Alcotest.test_case "pinned: 200 tenants, both wal modes" `Slow test_pinned_200_tenants;
   ]

@@ -128,7 +128,7 @@ let test_incident_partition_partial () =
     (fun replication ->
       let config =
         Throughput.make_config ~sites:8 ~items:80 ~duration_ms:8_000.0
-          ~failure:(Throughput.default_failure ~sites:8 ~duration_ms:8_000.0)
+          ~failure:(Throughput.default_failure ~duration_ms:8_000.0)
           ~replication ()
       in
       let result = Throughput.run ~seed:11 ~record_incidents:true config in
@@ -146,7 +146,7 @@ let test_incident_partition_partial () =
 let test_recording_is_transparent () =
   let config =
     Throughput.make_config ~sites:6 ~items:60 ~duration_ms:4_000.0
-      ~failure:(Throughput.default_failure ~sites:6 ~duration_ms:4_000.0)
+      ~failure:(Throughput.default_failure ~duration_ms:4_000.0)
       ()
   in
   let bare = Throughput.run ~seed:5 config in

@@ -1,6 +1,7 @@
 (* Steady-state throughput layer: determinism across domain counts,
    monotonicity in the virtual duration (failure times are absolute, so a
-   longer run extends a shorter one), and basic accounting. *)
+   longer run extends a shorter one), basic accounting, and exact pins on
+   three larger streams. *)
 
 module Throughput = Raid_sim.Throughput
 
@@ -76,6 +77,8 @@ let test_validation () =
       ignore (Throughput.make_config ~sites:0 ()));
   invalid "Throughput: duration must be positive" (fun () ->
       ignore (Throughput.make_config ~duration_ms:0.0 ()));
+  invalid "Throughput: zipf_theta must be in (0,1)" (fun () ->
+      ignore (Throughput.make_config ~zipf_theta:1.0 ()));
   invalid "Throughput: fail_site out of range" (fun () ->
       ignore
         (Throughput.make_config ~sites:4
@@ -85,7 +88,89 @@ let test_validation () =
       ignore
         (Throughput.make_config ~sites:4
            ~failure:{ Throughput.fail_site = 0; fail_at_ms = 5.0; recover_at_ms = 5.0 }
+           ()));
+  invalid "Throughput: a failure plan needs at least 2 sites" (fun () ->
+      ignore
+        (Throughput.make_config ~sites:1
+           ~failure:(Throughput.default_failure ~duration_ms:1000.0)
            ()))
+
+(* Exact pins on three larger streams, each 30 000 virtual ms with the
+   default failure and seeds 42-45: per-seed outcomes, the event total,
+   and the staged failure's mean recovery phases.  Every field is virtual
+   time or a count, so any drift is a semantic change in the protocol or
+   the driver, never host noise.  At this scale the drain tail outlives
+   the stream, so no incident completes and there is no MTTR to pin. *)
+type pinned = {
+  outcomes : (int * int) list;  (** per-seed (committed, aborted) *)
+  events : int;
+  txns_per_vsec : string;  (** mean over seeds, printed "%.3f" *)
+  phases_ms : (string * float) list;  (** mean per phase over all incidents *)
+}
+
+let check_pinned ?(replication = Raid_core.Config.Full) ?zipf_theta ~sites ~items expected () =
+  let duration_ms = 30_000.0 in
+  let config =
+    Throughput.make_config ~sites ~items ~duration_ms ~replication ?zipf_theta
+      ~failure:(Throughput.default_failure ~duration_ms) ()
+  in
+  let results = Throughput.run_seeds ~seeds:4 ~record_incidents:true config in
+  let label = Printf.sprintf "%d sites: %s" sites in
+  Alcotest.(check (list (pair int int)))
+    (label "per-seed committed/aborted") expected.outcomes
+    (List.map (fun r -> (r.Throughput.committed, r.Throughput.aborted)) results);
+  Alcotest.(check int) (label "events") expected.events
+    (List.fold_left (fun acc r -> acc + r.Throughput.events) 0 results);
+  Alcotest.(check string) (label "txns/vsec") expected.txns_per_vsec
+    (Printf.sprintf "%.3f" (Raid_util.Stats.mean (List.map Throughput.txns_per_vsec results)));
+  let module Incident = Raid_obs.Incident in
+  let mean over f =
+    List.fold_left (fun acc i -> acc +. f i) 0.0 over /. float_of_int (List.length over)
+  in
+  let incidents = List.concat_map (fun r -> r.Throughput.incidents) results in
+  Alcotest.(check int) (label "one incident per seed") 4 (List.length incidents);
+  Alcotest.(check (list (pair string (float 1e-6))))
+    (label "mean recovery phases (ms)") expected.phases_ms
+    (List.map
+       (fun p ->
+         ( Incident.phase_name p,
+           mean incidents (fun i -> Raid_net.Vtime.to_ms (Incident.phase_duration i p)) ))
+       Incident.all_phases);
+  Alcotest.(check int) (label "complete incidents") 0
+    (List.length (List.filter (fun i -> i.Incident.complete) incidents))
+
+let phases ~outage ~resolve ~install =
+  [ ("outage", outage); ("replay", 0.0); ("resolve", resolve); ("install", install);
+    ("drain", 0.0) ]
+
+let test_pinned_16_sites =
+  check_pinned ~sites:16 ~items:500
+    {
+      outcomes = [ (172, 0); (171, 0); (175, 0); (174, 0) ];
+      events = 41591;
+      txns_per_vsec = "5.743";
+      phases_ms = phases ~outage:9013.025 ~resolve:180.0 ~install:1198.0;
+    }
+
+let test_pinned_64_sites =
+  check_pinned ~sites:64 ~items:5000
+    {
+      outcomes = [ (83, 0); (82, 0); (83, 0); (82, 0) ];
+      events = 83538;
+      txns_per_vsec = "2.740";
+      phases_ms = phases ~outage:9029.775 ~resolve:756.0 ~install:11638.0;
+    }
+
+let test_pinned_256_sites_k3_zipf =
+  check_pinned
+    ~replication:(Raid_core.Config.Partial (Raid_core.Placement.spec ~factor:3 ()))
+    ~zipf_theta:0.9 ~sites:256 ~items:100_000
+    {
+      outcomes = [ (88, 0); (88, 0); (91, 0); (86, 0) ];
+      events = 9294;
+      txns_per_vsec = "0.977";
+      phases_ms = phases ~outage:8979.475 ~resolve:3060.0 ~install:232046.5;
+    }
 
 let suite =
   [
@@ -94,4 +179,7 @@ let suite =
     Alcotest.test_case "failure/recovery accounting" `Quick test_failure_recovery_accounting;
     Alcotest.test_case "no-failure run" `Quick test_no_failure_run;
     Alcotest.test_case "config validation" `Quick test_validation;
+    Alcotest.test_case "pinned: 16 sites, 500 items" `Quick test_pinned_16_sites;
+    Alcotest.test_case "pinned: 64 sites, 5000 items" `Quick test_pinned_64_sites;
+    Alcotest.test_case "pinned: 256 sites, k=3, zipf 0.9" `Quick test_pinned_256_sites_k3_zipf;
   ]
