@@ -2,6 +2,20 @@ module Bitset = Raid_util.Bitset
 
 type hook = item:int -> site:int -> locked:bool -> unit
 
+(* Rows keyed by item id.  The commit rule does one lookup per site per
+   written item; the polymorphic [Hashtbl] would pay a C [caml_hash] call
+   and a polymorphic [compare] on each, most of a 64-site commit's host
+   time.  The identity hash puts rows in buckets out of item order, which
+   is safe only because every traversal below either sorts
+   ([sorted_items]) or does not depend on order ([copy], [equal]).  The
+   functor table allocates exactly what the generic one does. *)
+module Rows = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash i = i land max_int
+end)
+
 (* Sparse representation: one bitmap per item *with at least one bit
    set*, plus per-site counts.  At paper scale (every item locked for a
    failed site) this costs the same as the old dense array-of-bitmaps;
@@ -11,7 +25,7 @@ type hook = item:int -> site:int -> locked:bool -> unit
 type t = {
   num_items : int;
   num_sites : int;
-  rows : (int, Bitset.t) Hashtbl.t;
+  rows : Bitset.t Rows.t;
   counts : int array;  (* per-site number of locked items *)
   mutable total : int;
   mutable hook : hook option;
@@ -23,7 +37,7 @@ let create ~num_items ~num_sites =
   {
     num_items;
     num_sites;
-    rows = Hashtbl.create 16;
+    rows = Rows.create 16;
     counts = Array.make num_sites 0;
     total = 0;
     hook = None;
@@ -47,23 +61,23 @@ let check_site t site =
 
 let row_opt t item =
   check_item t item;
-  Hashtbl.find_opt t.rows item
+  Rows.find_opt t.rows item
 
 let is_locked t ~item ~site =
   check_site t site;
   match row_opt t item with None -> false | Some m -> Bitset.mem m site
 
 (* Raw bit updates maintaining counts/total and the non-empty-row
-   invariant; return whether the bit actually transitioned.  The public
-   [set]/[clear] add hook notification on top. *)
+   invariant; return whether the bit actually transitioned.  They assume
+   [item] and [site] are in range: the public entry points check once per
+   call, so [commit_update] checks its item once and not once per site. *)
 let set_raw t ~item ~site =
-  check_site t site;
   let m =
-    match row_opt t item with
+    match Rows.find_opt t.rows item with
     | Some m -> m
     | None ->
       let m = Bitset.create t.num_sites in
-      Hashtbl.replace t.rows item m;
+      Rows.replace t.rows item m;
       m
   in
   if Bitset.mem m site then false
@@ -75,30 +89,35 @@ let set_raw t ~item ~site =
   end
 
 let clear_raw t ~item ~site =
-  check_site t site;
-  match row_opt t item with
+  match Rows.find_opt t.rows item with
   | None -> false
   | Some m ->
     if Bitset.mem m site then begin
       Bitset.clear m site;
       t.counts.(site) <- t.counts.(site) - 1;
       t.total <- t.total - 1;
-      if Bitset.is_empty m then Hashtbl.remove t.rows item;
+      if Bitset.is_empty m then Rows.remove t.rows item;
       true
     end
     else false
 
+let check_bit t ~item ~site =
+  check_site t site;
+  check_item t item
+
 let set t ~item ~site =
+  check_bit t ~item ~site;
   let fresh = set_raw t ~item ~site in
   if fresh then notify t ~item ~site ~locked:true;
   fresh
 
 let clear t ~item ~site =
+  check_bit t ~item ~site;
   let was_set = clear_raw t ~item ~site in
   if was_set then notify t ~item ~site ~locked:false;
   was_set
 
-let update_for t ~item ~site ~up ~set:set_count ~cleared =
+let update_raw t ~item ~site ~up ~set:set_count ~cleared =
   if up then begin
     if clear_raw t ~item ~site then begin
       incr cleared;
@@ -110,18 +129,22 @@ let update_for t ~item ~site ~up ~set:set_count ~cleared =
     notify t ~item ~site ~locked:true
   end
 
+let update_for t ~item ~site ~up ~set ~cleared =
+  check_bit t ~item ~site;
+  update_raw t ~item ~site ~up ~set ~cleared
+
 let commit_update t ~item ~site_up ~set ~cleared =
   check_item t item;
   for site = 0 to t.num_sites - 1 do
-    update_for t ~item ~site ~up:(site_up site) ~set ~cleared
+    update_raw t ~item ~site ~up:(site_up site) ~set ~cleared
   done
 
-let sorted_items t = List.sort compare (Hashtbl.fold (fun item _ acc -> item :: acc) t.rows [])
+let sorted_items t = List.sort compare (Rows.fold (fun item _ acc -> item :: acc) t.rows [])
 
 let locked_items_for t ~site =
   check_site t site;
   if t.counts.(site) = 0 then []
-  else List.filter (fun item -> Bitset.mem (Hashtbl.find t.rows item) site) (sorted_items t)
+  else List.filter (fun item -> Bitset.mem (Rows.find t.rows item) site) (sorted_items t)
 
 (* Same items, same increasing order as [locked_items_for]. *)
 let iter_locked_items_for t ~site f = List.iter f (locked_items_for t ~site)
@@ -151,8 +174,8 @@ let clear_sites t ~item ~sites =
 (* Copies are inert data (shipped inside [Recovery_state] messages); they
    never fire the source's hook. *)
 let copy t =
-  let rows = Hashtbl.create (max 16 (Hashtbl.length t.rows)) in
-  Hashtbl.iter (fun item m -> Hashtbl.replace rows item (Bitset.copy m)) t.rows;
+  let rows = Rows.create (max 16 (Rows.length t.rows)) in
+  Rows.iter (fun item m -> Rows.replace rows item (Bitset.copy m)) t.rows;
   { t with rows; counts = Array.copy t.counts; hook = None }
 
 let check_shape t from =
@@ -169,7 +192,7 @@ let install ?keep t ~from =
   let items = List.sort_uniq compare (sorted_items t @ sorted_items from) in
   List.iter
     (fun item ->
-      let target = if kept item then Hashtbl.find_opt from.rows item else None in
+      let target = if kept item then Rows.find_opt from.rows item else None in
       for site = 0 to t.num_sites - 1 do
         let after = match target with None -> false | Some m -> Bitset.mem m site in
         if after then ignore (set t ~item ~site) else ignore (clear t ~item ~site)
@@ -180,23 +203,23 @@ let merge t ~from =
   check_shape t from;
   List.iter
     (fun item ->
-      Bitset.iter (fun site -> ignore (set t ~item ~site)) (Hashtbl.find from.rows item))
+      Bitset.iter (fun site -> ignore (set t ~item ~site)) (Rows.find from.rows item))
     (sorted_items from)
 
 let total_locked t = t.total
 
 let equal a b =
   a.num_items = b.num_items && a.num_sites = b.num_sites && a.total = b.total
-  && Hashtbl.length a.rows = Hashtbl.length b.rows
-  && Hashtbl.fold
+  && Rows.length a.rows = Rows.length b.rows
+  && Rows.fold
        (fun item m acc ->
          acc
-         && match Hashtbl.find_opt b.rows item with None -> false | Some m' -> Bitset.equal m m')
+         && match Rows.find_opt b.rows item with None -> false | Some m' -> Bitset.equal m m')
        a.rows true
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   List.iter
-    (fun item -> Format.fprintf ppf "item %3d: %a@," item Bitset.pp (Hashtbl.find t.rows item))
+    (fun item -> Format.fprintf ppf "item %3d: %a@," item Bitset.pp (Rows.find t.rows item))
     (sorted_items t);
   Format.fprintf ppf "@]"

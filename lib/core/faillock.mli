@@ -4,9 +4,20 @@
     fact that a copy of a data item is being updated while some other
     copies are unavailable due to site failure."  Implementation follows
     the paper: one bitmap per data item, one bit per site; bit [k] set for
-    item [i] means site [k]'s copy of item [i] missed an update.  The
-    table is fully replicated: every operational site maintains bits on
-    behalf of every failed site. *)
+    item [i] means site [k]'s copy of item [i] missed an update.
+
+    Under full replication the table is fully replicated: every
+    operational site maintains every item's bits on behalf of every failed
+    site.  Under partial replication fail-lock knowledge is local to each
+    item's placement group: a site keeps bits only for the items it holds
+    (one bit per holder), plus the items a transaction it coordinated
+    wrote, as a witness (see [Site.faillock_commit_update]).
+
+    No caller may depend on the order in which the table's rows are
+    stored or traversed internally.  Every function that exposes more
+    than one item ({!locked_items_for}, {!iter_locked_items_for},
+    the hook transitions of {!install} and {!merge}, {!pp}) reports in
+    increasing item order. *)
 
 type t
 
