@@ -41,14 +41,66 @@ let usage_error verb fmt =
       exit 2)
     fmt
 
+(* Every file a verb writes ([-o], [--csv], [--telemetry],
+   [--incidents]) goes through here and is announced as "<what> <path>",
+   unless stdout already carries the verb's data ([quiet]). *)
+let write_output ?(quiet = false) ~what path contents =
+  Raid_sim.Export.write_file ~path contents;
+  if not quiet then Printf.printf "%s %s\n" what path
+
+(* [-o FILE], or stdout without it. *)
+let print_or_write ~what out contents =
+  match out with None -> print_string contents | Some path -> write_output ~what path contents
+
 (* The [--replication-factor]/[--sharding] pair of [throughput] and
    [serve]: factor 0 keeps the paper's full replication. *)
 let replication ~verb ~factor ~sharding =
+  if factor < 0 then usage_error verb "--replication-factor must be non-negative";
   if factor = 0 then Raid_core.Config.Full
   else
     match Raid_core.Placement.sharding_of_string sharding with
     | Error message -> usage_error verb "%s" message
     | Ok sharding -> Raid_core.Config.Partial (Raid_core.Placement.spec ~sharding ~factor ())
+
+(* The load shape [throughput] and [serve] share: cluster size, item
+   space, transaction mix, placement and skew. *)
+let load_sites =
+  Arg.(value & opt int 16 & info [ "sites" ] ~docv:"N" ~doc:"Number of database sites.")
+
+let load_items =
+  Arg.(value & opt int 500 & info [ "items" ] ~docv:"N" ~doc:"Database size in data items.")
+
+let load_max_ops =
+  Arg.(value & opt int 5 & info [ "max-ops" ] ~docv:"N" ~doc:"Maximum operations per transaction.")
+
+let load_write_prob =
+  Arg.(
+    value & opt float 0.5
+    & info [ "write-prob" ] ~docv:"P" ~doc:"Probability that an operation is a write.")
+
+let replication_factor =
+  Arg.(
+    value & opt int 0
+    & info [ "replication-factor" ] ~docv:"K"
+        ~doc:
+          "Copies per item (k-holder placement).  0 keeps the paper's full replication; K >= \
+           sites also degenerates to it.")
+
+let sharding =
+  Arg.(
+    value & opt string "hash"
+    & info [ "sharding" ] ~docv:"KIND"
+        ~doc:
+          "How $(b,--replication-factor) picks each item's primary holder: $(b,hash), \
+           $(b,range) or $(b,modular).")
+
+let zipf_theta =
+  Arg.(
+    value & opt (some float) None
+    & info [ "zipf-theta" ] ~docv:"THETA"
+        ~doc:
+          "Zipfian item skew in (0,1) (YCSB's parameterisation; 0.99 is its default).  Omitted: \
+           the paper's uniform item draw.")
 
 let print_exp1 () =
   List.iter
@@ -63,13 +115,12 @@ let print_exp2 ?csv () =
   Raid_util.Chart.print (Raid_sim.Experiment2.figure e2);
   print_newline ();
   Table.print (Raid_sim.Experiment2.summary_table e2);
-  match csv with
-  | None -> ()
-  | Some path ->
-    Raid_sim.Export.write_file ~path
-      (Raid_sim.Export.series_csv ~header:("txn", "faillocks_site_0")
-         e2.Raid_sim.Experiment2.series);
-    Printf.printf "figure data exported to %s\n" path
+  Option.iter
+    (fun path ->
+      write_output ~what:"figure data exported to" path
+        (Raid_sim.Export.series_csv ~header:("txn", "faillocks_site_0")
+           e2.Raid_sim.Experiment2.series))
+    csv
 
 let print_exp3 ?csv () =
   let s1 = Raid_sim.Experiment3.scenario1 () in
@@ -81,15 +132,14 @@ let print_exp3 ?csv () =
   Raid_util.Chart.print
     (Raid_sim.Experiment3.figure ~title:"Figure 3: database inconsistency (scenario 2)" s2);
   Table.print (Raid_sim.Experiment3.summary_table ~title:"Scenario 2 summary" s2);
-  match csv with
-  | None -> ()
-  | Some path ->
-    Raid_sim.Export.write_file ~path
-      (Raid_sim.Export.multi_series_csv ~x_name:"txn"
-         (List.map
-            (fun (site, points) -> (Printf.sprintf "scenario2_site_%d" site, points))
-            s2.Raid_sim.Experiment3.series));
-    Printf.printf "figure data exported to %s\n" path
+  Option.iter
+    (fun path ->
+      write_output ~what:"figure data exported to" path
+        (Raid_sim.Export.multi_series_csv ~x_name:"txn"
+           (List.map
+              (fun (site, points) -> (Printf.sprintf "scenario2_site_%d" site, points))
+              s2.Raid_sim.Experiment3.series)))
+    csv
 
 (* `raid exp N` *)
 let exp_cmd =
@@ -216,23 +266,23 @@ let scenario_cmd =
       & info [ "csv" ] ~docv:"FILE" ~doc:"Export per-transaction records as CSV.")
   in
   let run sites items max_ops write_prob seed fail_site down_txns max_recovery two_step csv =
-    if fail_site < 0 || fail_site >= sites then
-      invalid_arg "scenario: --fail-site out of range";
     let recovery =
       match two_step with
       | None -> Config.On_demand
       | Some threshold -> Config.Two_step { threshold; batch_size = 8 }
     in
-    let config = Config.make ~recovery ~num_sites:sites ~num_items:items () in
     let scenario =
-      Scenario.make ~seed ~config
-        ~workload:(Workload.Uniform { max_ops; write_prob })
-        [
-          Scenario.Fail fail_site;
-          Scenario.Run_txns down_txns;
-          Scenario.Recover fail_site;
-          Scenario.Run_until_recovered { site = fail_site; max_txns = max_recovery };
-        ]
+      try
+        Scenario.make ~seed
+          ~config:(Config.make ~recovery ~num_sites:sites ~num_items:items ())
+          ~workload:(Workload.Uniform { max_ops; write_prob })
+          [
+            Scenario.Fail fail_site;
+            Scenario.Run_txns down_txns;
+            Scenario.Recover fail_site;
+            Scenario.Run_until_recovered { site = fail_site; max_txns = max_recovery };
+          ]
+      with Invalid_argument message -> usage_error "scenario" "%s" message
     in
     let result = Runner.run scenario in
     let chart =
@@ -256,11 +306,10 @@ let scenario_cmd =
     List.iter
       (fun (name, value) -> Printf.printf "%-28s %d\n" name value)
       (Raid_core.Metrics.snapshot_counts (Cluster.metrics result.Runner.cluster));
-    match csv with
-    | None -> ()
-    | Some path ->
-      Raid_sim.Export.write_file ~path (Raid_sim.Export.records_csv result);
-      Printf.printf "records exported to %s\n" path
+    Option.iter
+      (fun path ->
+        write_output ~what:"records exported to" path (Raid_sim.Export.records_csv result))
+      csv
   in
   Cmd.v
     (Cmd.info "scenario"
@@ -269,24 +318,61 @@ let scenario_cmd =
       const run $ sites $ items $ max_ops $ write_prob $ seed $ fail_site $ down_txns
       $ max_recovery $ two_step $ csv)
 
+(* The named scenarios of [trace], [metrics], [explain] and
+   [incidents], which all watch one observed run (Raid_sim.Tracing). *)
+let scenario_doc =
+  String.concat "; "
+    (List.map
+       (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
+       Raid_sim.Tracing.scenarios)
+
+let scenario_name =
+  Arg.(
+    value & opt string "exp1"
+    & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to run. " ^ scenario_doc ^ "."))
+
+let scenario_seed =
+  Arg.(
+    value & opt (some int) None
+    & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
+
+let list_scenarios =
+  Arg.(
+    value & flag
+    & info [ "list" ] ~doc:"List the named scenarios (one per line with a description) and exit.")
+
+let output_file =
+  Arg.(
+    value & opt (some string) None
+    & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
+
+let print_scenarios () =
+  List.iter
+    (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
+    Raid_sim.Tracing.scenarios
+
+(* Run a named scenario with every observer attached.  No named scenario
+   fills the trace ring, so a drop means the views below are missing
+   their oldest events: say so rather than render them silently. *)
+let observe ~verb ?sample ?seed name =
+  match Raid_sim.Tracing.scenario_of_name ?seed name with
+  | Error message -> usage_error verb "%s" message
+  | Ok scenario ->
+    let output = Raid_sim.Tracing.run ?sample scenario in
+    let trace = output.Raid_sim.Tracing.trace in
+    if Raid_obs.Trace.dropped trace > 0 then
+      Printf.eprintf
+        "raid %s: dropped %d trace entries (capacity %d); the oldest events are missing\n%!" verb
+        (Raid_obs.Trace.dropped trace) (Raid_obs.Trace.capacity trace);
+    output
+
 (* `raid trace` — run a named scenario with protocol tracing on. *)
 let trace_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Tracing.scenarios)
-  in
   let scenario_name =
     Arg.(
       value
       & pos 0 (some string) None
       & info [] ~docv:"SCENARIO" ~doc:("Scenario to trace. " ^ scenario_doc ^ "."))
-  in
-  let list =
-    Arg.(
-      value & flag
-      & info [ "list" ] ~doc:"List the named scenarios (one per line with a description) and exit.")
   in
   let format =
     Arg.(
@@ -299,74 +385,26 @@ let trace_cmd =
              phases nested inside transaction spans) or $(b,summary) (event counts and \
              virtual-latency histograms).")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
   let run list scenario_name format out seed jobs =
     set_jobs jobs;
-    if list then
-      List.iter
-        (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
-        Raid_sim.Tracing.scenarios
+    if list then print_scenarios ()
     else
-    match scenario_name with
-    | None ->
-      usage_error "trace" "a SCENARIO argument is required (see --list)"
-    | Some scenario_name ->
-    match Raid_sim.Tracing.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      usage_error "trace" "%s" message
-    | Ok scenario ->
-      (* The summary's latency statistics silently skew if the ring
-         wraps, so give it room; the export formats keep the default
-         bound and warn instead. *)
-      let capacity = match format with `Summary -> Some (1 lsl 20) | _ -> None in
-      let output = Raid_sim.Tracing.run ?capacity scenario in
-      let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
-      if dropped > 0 then
-        Printf.eprintf "raid trace: dropped %d entries (capacity %d); oldest events are missing\n%!"
-          dropped
-          (Raid_obs.Trace.capacity output.Raid_sim.Tracing.trace);
-      let rendered = Raid_sim.Tracing.render ~format output in
-      (match out with
-      | None -> print_string rendered
-      | Some path ->
-        Raid_sim.Export.write_file ~path rendered;
-        Printf.printf "trace written to %s\n" path)
+      match scenario_name with
+      | None -> usage_error "trace" "a SCENARIO argument is required (see --list)"
+      | Some name ->
+        let output = observe ~verb:"trace" ?seed name in
+        print_or_write ~what:"trace written to" out (Raid_sim.Tracing.render ~format output)
   in
   Cmd.v
     (Cmd.info "trace"
        ~doc:
          "Run a scenario with the protocol trace enabled and export it (JSONL, Chrome \
           trace-event JSON, or a latency summary).")
-    Term.(const run $ list $ scenario_name $ format $ out $ seed $ jobs)
+    Term.(const run $ list_scenarios $ scenario_name $ format $ output_file $ scenario_seed $ jobs)
 
 (* `raid metrics` — run a scenario with the telemetry registry attached
    and export the time series. *)
 let metrics_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Monitor.scenarios)
-  in
-  let scenario_name =
-    Arg.(
-      value & opt string "exp1"
-      & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to instrument. " ^ scenario_doc ^ "."))
-  in
-  let list =
-    Arg.(
-      value & flag
-      & info [ "list" ] ~doc:"List the named scenarios (one per line with a description) and exit.")
-  in
   let sample =
     Arg.(
       value & opt float 100.0
@@ -385,30 +423,15 @@ let metrics_cmd =
             "Output format: $(b,prom) (Prometheus text exposition, final values plus histogram \
              buckets) or $(b,csv) (long-form time series: metric,labels,t_ms,value).")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
   let run list scenario_name sample format out seed jobs =
     set_jobs jobs;
-    if list then
-      List.iter
-        (fun (name, description) -> Printf.printf "%-24s %s\n" name description)
-        Raid_sim.Monitor.scenarios
+    if list then print_scenarios ()
     else begin
-    if sample <= 0.0 then usage_error "metrics" "--sample must be positive";
-    match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      usage_error "metrics" "%s" message
-    | Ok scenario ->
-      let output = Raid_sim.Monitor.run ~sample:(Raid_net.Vtime.of_ms_f sample) scenario in
-      let rendered = Raid_sim.Monitor.render ~format output in
+      if sample <= 0.0 then usage_error "metrics" "--sample must be positive";
+      let output =
+        observe ~verb:"metrics" ~sample:(Raid_net.Vtime.of_ms_f sample) ?seed scenario_name
+      in
+      let rendered = Raid_sim.Tracing.render ~format output in
       (* Build provenance rides at the end of the exposition so the
          scenario series above stay byte-identical across builds. *)
       let rendered =
@@ -416,11 +439,7 @@ let metrics_cmd =
         | `Prom -> rendered ^ Raid_obs.Build_info.prom_block ()
         | `Csv -> rendered
       in
-      (match out with
-      | None -> print_string rendered
-      | Some path ->
-        Raid_sim.Export.write_file ~path rendered;
-        Printf.printf "metrics written to %s\n" path)
+      print_or_write ~what:"metrics written to" out rendered
     end
   in
   Cmd.v
@@ -428,22 +447,13 @@ let metrics_cmd =
        ~doc:
          "Run a scenario with the virtual-time telemetry registry attached and export the \
           sampled series (Prometheus text or long-form CSV).")
-    Term.(const run $ list $ scenario_name $ sample $ format $ out $ seed $ jobs)
+    Term.(
+      const run $ list_scenarios $ scenario_name $ sample $ format $ output_file $ scenario_seed
+      $ jobs)
 
 (* `raid explain` — the span-tree view of one transaction: where its
    latency went, blamed site by site along the critical path. *)
 let explain_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Monitor.scenarios)
-  in
-  let scenario_name =
-    Arg.(
-      value & opt string "exp1"
-      & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to trace. " ^ scenario_doc ^ "."))
-  in
   let txn =
     Arg.(
       value & opt (some int) None
@@ -458,43 +468,24 @@ let explain_cmd =
       & info [ "json" ]
           ~doc:"Emit the span tree and critical path as JSON instead of the text rendering.")
   in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
   let run scenario_name txn json seed jobs =
     set_jobs jobs;
-    match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      usage_error "explain" "%s" message
-    | Ok scenario ->
-      (* Span assembly needs the whole stream: a wrapped ring loses the
-         oldest transactions' begins, so give the collector the same
-         headroom the trace summary gets. *)
-      let output = Raid_sim.Tracing.run ~capacity:(1 lsl 20) scenario in
-      let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
-      if dropped > 0 then
-        Printf.eprintf
-          "raid explain: dropped %d trace entries; the oldest transactions are incomplete\n%!"
-          dropped;
-      let trees = Raid_sim.Tracing.spans output in
-      let tree =
-        match txn with
-        | Some id -> (
-          match Raid_obs.Span.find trees id with
-          | Some tree -> tree
-          | None ->
-            usage_error "explain" "no transaction %d in scenario %s (%d traced)" id
-              scenario_name (List.length trees))
-        | None -> (
-          match Raid_obs.Span.slowest trees with
-          | Some tree -> tree
-          | None ->
-            usage_error "explain" "the scenario traced no transactions")
-      in
-      if json then print_endline (Raid_obs.Json.to_string (Raid_obs.Span.json tree))
-      else print_string (Raid_obs.Span.render tree)
+    let trees = Raid_sim.Tracing.spans (observe ~verb:"explain" ?seed scenario_name) in
+    let tree =
+      match txn with
+      | Some id -> (
+        match Raid_obs.Span.find trees id with
+        | Some tree -> tree
+        | None ->
+          usage_error "explain" "no transaction %d in scenario %s (%d traced)" id scenario_name
+            (List.length trees))
+      | None -> (
+        match Raid_obs.Span.slowest trees with
+        | Some tree -> tree
+        | None -> usage_error "explain" "the scenario traced no transactions")
+    in
+    if json then print_endline (Raid_obs.Json.to_string (Raid_obs.Span.json tree))
+    else print_string (Raid_obs.Span.render tree)
   in
   Cmd.v
     (Cmd.info "explain"
@@ -502,21 +493,10 @@ let explain_cmd =
          "Trace a scenario and explain one transaction: its causal span tree (phases, copier \
           fetches, votes) and the critical path through it, each step blamed on the site that \
           spent the time.")
-    Term.(const run $ scenario_name $ txn $ json $ seed $ jobs)
+    Term.(const run $ scenario_name $ txn $ json $ scenario_seed $ jobs)
 
 (* `raid incidents` — per-(site, episode) recovery timelines. *)
 let incidents_cmd =
-  let scenario_doc =
-    String.concat "; "
-      (List.map
-         (fun (name, description) -> Printf.sprintf "$(b,%s): %s" name description)
-         Raid_sim.Monitor.scenarios)
-  in
-  let scenario_name =
-    Arg.(
-      value & opt string "exp1"
-      & info [ "scenario" ] ~docv:"SCENARIO" ~doc:("Scenario to run. " ^ scenario_doc ^ "."))
-  in
   let csv =
     Arg.(
       value & flag
@@ -525,41 +505,15 @@ let incidents_cmd =
             "Emit one CSV row per incident (durations in milliseconds) instead of the human \
              summary; byte-identical for any $(b,-j).")
   in
-  let out =
-    Arg.(
-      value & opt (some string) None
-      & info [ "o"; "output" ] ~docv:"FILE" ~doc:"Write to $(docv) instead of stdout.")
-  in
-  let seed =
-    Arg.(
-      value & opt (some int) None
-      & info [ "seed" ] ~docv:"SEED" ~doc:"Override the scenario's default seed.")
-  in
   let run scenario_name csv out seed jobs =
     set_jobs jobs;
-    match Raid_sim.Monitor.scenario_of_name ?seed scenario_name with
-    | Error message ->
-      usage_error "incidents" "%s" message
-    | Ok scenario ->
-      let output = Raid_sim.Tracing.run ~capacity:(1 lsl 20) scenario in
-      let dropped = Raid_obs.Trace.dropped output.Raid_sim.Tracing.trace in
-      if dropped > 0 then
-        Printf.eprintf
-          "raid incidents: dropped %d trace entries; the oldest incidents are incomplete\n%!"
-          dropped;
-      let incidents = Raid_sim.Tracing.incidents output in
-      let rendered =
-        if csv then Raid_obs.Incident.to_csv incidents
-        else if incidents = [] then "no site failures in this scenario\n"
-        else
-          String.concat ""
-            (List.map (fun i -> Raid_obs.Incident.describe i ^ "\n") incidents)
-      in
-      (match out with
-      | None -> print_string rendered
-      | Some path ->
-        Raid_sim.Export.write_file ~path rendered;
-        Printf.printf "incidents written to %s\n" path)
+    let incidents = Raid_sim.Tracing.incidents (observe ~verb:"incidents" ?seed scenario_name) in
+    let rendered =
+      if csv then Raid_obs.Incident.to_csv incidents
+      else if incidents = [] then "no site failures in this scenario\n"
+      else String.concat "" (List.map (fun i -> Raid_obs.Incident.describe i ^ "\n") incidents)
+    in
+    print_or_write ~what:"incidents written to" out rendered
   in
   Cmd.v
     (Cmd.info "incidents"
@@ -567,26 +521,10 @@ let incidents_cmd =
          "Run a scenario and report every site-failure incident as a recovery timeline: \
           outage, WAL replay, in-doubt resolution, state install and fail-lock drain phases \
           that partition crash to caught-up exactly.")
-    Term.(const run $ scenario_name $ csv $ out $ seed $ jobs)
+    Term.(const run $ scenario_name $ csv $ output_file $ scenario_seed $ jobs)
 
 (* `raid throughput` — steady-state load on a configurable cluster. *)
 let throughput_cmd =
-  let sites =
-    Arg.(value & opt int 16 & info [ "sites" ] ~docv:"N" ~doc:"Number of database sites.")
-  in
-  let items =
-    Arg.(value & opt int 500 & info [ "items" ] ~docv:"N" ~doc:"Database size in data items.")
-  in
-  let max_ops =
-    Arg.(
-      value & opt int 5
-      & info [ "max-ops" ] ~docv:"N" ~doc:"Maximum operations per transaction.")
-  in
-  let write_prob =
-    Arg.(
-      value & opt float 0.5
-      & info [ "write-prob" ] ~docv:"P" ~doc:"Probability that an operation is a write.")
-  in
   let duration =
     Arg.(
       value & opt float 10_000.0
@@ -645,30 +583,6 @@ let throughput_cmd =
       & info [ "sample" ] ~docv:"MS"
           ~doc:"Telemetry sampling interval in virtual milliseconds (with $(b,--telemetry)).")
   in
-  let replication_factor =
-    Arg.(
-      value & opt int 0
-      & info [ "replication-factor" ] ~docv:"K"
-          ~doc:
-            "Copies per item (k-holder placement).  0 keeps the paper's full replication; \
-             K >= sites also degenerates to it.")
-  in
-  let sharding =
-    Arg.(
-      value & opt string "hash"
-      & info [ "sharding" ] ~docv:"KIND"
-          ~doc:
-            "How $(b,--replication-factor) picks each item's primary holder: $(b,hash), \
-             $(b,range) or $(b,modular).")
-  in
-  let zipf_theta =
-    Arg.(
-      value & opt (some float) None
-      & info [ "zipf-theta" ] ~docv:"THETA"
-          ~doc:
-            "Zipfian item skew in (0,1) (YCSB's parameterisation; 0.99 is its default).  \
-             Omitted: the paper's uniform item draw.")
-  in
   let run sites items max_ops write_prob duration seeds seed no_failure fail_at recover_at smoke
       csv telemetry sample replication_factor sharding zipf_theta jobs =
     set_jobs jobs;
@@ -722,13 +636,11 @@ let throughput_cmd =
     (match (telemetry, registry) with
     | Some "-", Some registry -> print_string (Raid_obs.Prom.render registry)
     | Some path, Some registry ->
-      Raid_sim.Export.write_file ~path (Raid_obs.Prom.render registry);
-      Printf.printf "telemetry exported to %s\n" path
+      write_output ~what:"telemetry exported to" path (Raid_obs.Prom.render registry)
     | _ -> ());
     match (csv, results) with
     | Some path, first :: _ ->
-      Raid_sim.Export.write_file ~path (Raid_sim.Throughput.windows_csv first);
-      Printf.printf "trajectory exported to %s\n" path
+      write_output ~what:"trajectory exported to" path (Raid_sim.Throughput.windows_csv first)
     | _ -> ()
   in
   Cmd.v
@@ -737,9 +649,9 @@ let throughput_cmd =
          "Measure steady-state throughput (committed txns per virtual second, abort rate, \
           host events/sec) under an open-loop stream with a mid-run failure and recovery.")
     Term.(
-      const run $ sites $ items $ max_ops $ write_prob $ duration $ seeds $ seed $ no_failure
-      $ fail_at $ recover_at $ smoke $ csv $ telemetry $ sample $ replication_factor $ sharding
-      $ zipf_theta $ jobs)
+      const run $ load_sites $ load_items $ load_max_ops $ load_write_prob $ duration $ seeds
+      $ seed $ no_failure $ fail_at $ recover_at $ smoke $ csv $ telemetry $ sample
+      $ replication_factor $ sharding $ zipf_theta $ jobs)
 
 (* `raid concurrency` *)
 let concurrency_cmd =
@@ -794,22 +706,6 @@ let serve_cmd =
             "Host $(docv) independent clusters in one soak; telemetry and /sites gain a \
              tenant label, fail/recover actions address tenant 0.")
   in
-  let sites =
-    Arg.(value & opt int 16 & info [ "sites" ] ~docv:"N" ~doc:"Number of database sites.")
-  in
-  let items =
-    Arg.(value & opt int 500 & info [ "items" ] ~docv:"N" ~doc:"Database size in data items.")
-  in
-  let max_ops =
-    Arg.(
-      value & opt int 5
-      & info [ "max-ops" ] ~docv:"N" ~doc:"Maximum operations per transaction.")
-  in
-  let write_prob =
-    Arg.(
-      value & opt float 0.5
-      & info [ "write-prob" ] ~docv:"P" ~doc:"Probability that an operation is a write.")
-  in
   let duration =
     Arg.(
       value & opt (some float) None
@@ -817,32 +713,16 @@ let serve_cmd =
           ~doc:"Stop after this much wall-clock time (default: run until SIGINT).")
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
-  let replication_factor =
-    Arg.(
-      value & opt int 0
-      & info [ "replication-factor" ] ~docv:"K"
-          ~doc:"Copies per item (k-holder placement); 0 keeps full replication.")
-  in
-  let sharding =
-    Arg.(
-      value & opt string "hash"
-      & info [ "sharding" ] ~docv:"KIND"
-          ~doc:"Placement for $(b,--replication-factor): $(b,hash), $(b,range) or $(b,modular).")
-  in
-  let zipf_theta =
-    Arg.(
-      value & opt (some float) None
-      & info [ "zipf-theta" ] ~docv:"THETA"
-          ~doc:"Zipfian item skew in (0,1); omitted: uniform item draw.")
-  in
   let run port accel sample tenants sites items max_ops write_prob duration seed
       replication_factor sharding zipf_theta =
     if sample <= 0.0 then usage_error "serve" "--sample must be positive";
     let replication = replication ~verb:"serve" ~factor:replication_factor ~sharding in
     let config =
-      Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
-        ?zipf_theta ~accel ~sample:(Raid_net.Vtime.of_ms_f sample) ~seed ~port
-        ?duration_s:duration ()
+      try
+        Raid_sim.Soak.make_config ~tenants ~sites ~items ~max_ops ~write_prob ~replication
+          ?zipf_theta ~accel ~sample:(Raid_net.Vtime.of_ms_f sample) ~seed ~port
+          ?duration_s:duration ()
+      with Invalid_argument message -> usage_error "serve" "%s" message
     in
     let soak = Raid_sim.Soak.create config in
     Sys.set_signal Sys.sigint
@@ -870,8 +750,8 @@ let serve_cmd =
           API on 127.0.0.1 exposes the cluster live: /health, /metrics (Prometheus), /sites, \
           /txns, POST /sites/ID/fail|recover, POST /load.")
     Term.(
-      const run $ port $ accel $ sample $ tenants $ sites $ items $ max_ops $ write_prob
-      $ duration $ seed $ replication_factor $ sharding $ zipf_theta)
+      const run $ port $ accel $ sample $ tenants $ load_sites $ load_items $ load_max_ops
+      $ load_write_prob $ duration $ seed $ replication_factor $ sharding $ zipf_theta)
 
 (* `raid repl` *)
 (* `raid crashmatrix` — the systematic crash-injection matrix: kill a
@@ -965,6 +845,8 @@ let crashmatrix_cmd =
       in
       let seeds = match seeds with Some s -> s | None -> if smoke then [ 1 ] else [ 1; 2; 3 ] in
       let sizes = match sizes with Some s -> s | None -> if smoke then [ 4 ] else [ 4; 6 ] in
+      if List.exists (fun n -> n < 3) sizes then
+        usage_error "crashmatrix" "--sizes must all be at least 3 (coordinator, victim, witness)";
       let summary = Crashmatrix.run ~seeds ~sizes ~points () in
       if csv then print_string (Crashmatrix.to_csv summary)
       else begin
@@ -972,11 +854,11 @@ let crashmatrix_cmd =
         Printf.printf "%d cells, %d failed\n" summary.Crashmatrix.cells
           summary.Crashmatrix.failed_cells
       end;
-      (match incidents with
-      | None -> ()
-      | Some path ->
-        Raid_sim.Export.write_file ~path (Crashmatrix.incidents_csv summary);
-        if not csv then Printf.printf "incident timelines written to %s\n" path);
+      Option.iter
+        (fun path ->
+          write_output ~quiet:csv ~what:"incident timelines written to" path
+            (Crashmatrix.incidents_csv summary))
+        incidents;
       if not (Crashmatrix.ok summary) then exit 1
     end
   in
@@ -996,7 +878,11 @@ let repl_cmd =
   in
   let seed = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"PRNG seed.") in
   let run sites items max_ops seed =
-    Raid_sim.Console.run_stdin (Raid_sim.Console.create ~sites ~items ~max_ops ~seed ())
+    let console =
+      try Raid_sim.Console.create ~sites ~items ~max_ops ~seed ()
+      with Invalid_argument message -> usage_error "repl" "%s" message
+    in
+    Raid_sim.Console.run_stdin console
   in
   Cmd.v
     (Cmd.info "repl" ~doc:"Interactive managing-site console (fail/recover sites, run txns).")
@@ -1090,11 +976,9 @@ let multi_cmd =
     let events = Raid_multi.total_events result in
     Printf.printf "host: %.2f s wall clock, %.0f events/sec aggregate\n" wall_s
       (if wall_s > 0.0 then float_of_int events /. wall_s else 0.0);
-    match csv with
-    | Some path ->
-      Raid_sim.Export.write_file ~path (Raid_multi.csv result);
-      Printf.printf "per-tenant results exported to %s\n" path
-    | None -> ()
+    Option.iter
+      (fun path -> write_output ~what:"per-tenant results exported to" path (Raid_multi.csv result))
+      csv
   in
   Cmd.v
     (Cmd.info "multi"

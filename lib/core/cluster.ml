@@ -486,14 +486,6 @@ let status t =
   let counts = faillock_counts t in
   Array.init (num_sites t) (fun i -> site_status_of t i ~faillocks:counts.(i))
 
-let reference_version t item =
-  List.fold_left
-    (fun acc s ->
-      match Database.version (Site.database t.sites.(s)) item with
-      | None -> acc
-      | Some v -> ( match acc with None -> Some v | Some best -> Some (max best v) ))
-    None (alive_sites t)
-
 let committed_version t item =
   if item < 0 || item >= Array.length t.committed_versions then
     invalid_arg "Cluster.committed_version: bad item";

@@ -220,10 +220,6 @@ val status : t -> site_status array
 (** {!site_status} for every site, with the fail-lock oracle swept once
     ({!faillock_counts}) instead of per site. *)
 
-val reference_version : t -> int -> int option
-(** Highest version of an item among alive sites storing it ([None] when
-    no alive site stores it). *)
-
 val committed_version : t -> int -> int
 (** Highest version ever committed for the item (0 initially), from the
     outcome history. *)

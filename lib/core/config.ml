@@ -64,6 +64,3 @@ let stores t ~site ~item =
   if site < 0 || site >= t.num_sites then invalid_arg "Config.stores: bad site";
   if item < 0 || item >= t.num_items then invalid_arg "Config.stores: bad item";
   Placement.holds (placement t) ~site ~item
-
-let paper_experiment1 = make ~num_sites:4 ~num_items:50 ()
-let paper_experiment2 = make ~num_sites:2 ~num_items:50 ()

@@ -36,10 +36,14 @@ type spec =
 
 type t
 
-val create : spec -> num_items:int -> rng:Raid_util.Rng.t -> t
+val validate : spec -> num_items:int -> unit
 (** @raise Invalid_argument when the spec is inconsistent with
     [num_items] (e.g. ET1 regions exceed the item space, non-positive
     sizes, probabilities outside [0,1]). *)
+
+val create : spec -> num_items:int -> rng:Raid_util.Rng.t -> t
+(** A generator for a {!validate}d spec.
+    @raise Invalid_argument as {!validate} does. *)
 
 val next : t -> id:int -> Txn.t
 (** Generate the transaction with serial number [id]. *)

@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let of_us us = us
 let of_ms ms = ms * 1000
 let of_ms_f ms = int_of_float (Float.round (ms *. 1000.0))
 let to_us t = t

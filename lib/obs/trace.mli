@@ -108,6 +108,3 @@ val kind : event -> string
 
 val counts : t -> (string * int) list
 (** Retained-entry histogram by {!kind}, sorted by tag. *)
-
-val pp_event : Format.formatter -> event -> unit
-val pp_entry : Format.formatter -> entry -> unit

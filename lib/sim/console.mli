@@ -12,7 +12,8 @@ type t
 val create : ?sites:int -> ?items:int -> ?max_ops:int -> ?seed:int -> unit -> t
 (** A fresh traced cluster behind a console.  Defaults: 4 sites, 50
     items, random transactions of at most [max_ops] (default 5)
-    operations, seed 42. *)
+    operations, seed 42.  @raise Invalid_argument on a size the
+    configuration or the workload rejects. *)
 
 val cluster : t -> Raid_core.Cluster.t
 

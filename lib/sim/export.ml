@@ -63,22 +63,6 @@ let records_csv (result : Runner.result) =
     result.Runner.records;
   Buffer.contents buffer
 
-let latency_summary_csv metrics =
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "group,count,mean_ms,stddev_ms,min_ms,p50_ms,p95_ms,p99_ms,max_ms\n";
-  List.iter
-    (fun (label, samples) ->
-      if samples <> [] then begin
-        let s = Raid_util.Stats.summarize samples in
-        Buffer.add_string buffer
-          (Printf.sprintf "%s,%d,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f,%.3f\n" label
-             s.Raid_util.Stats.count s.Raid_util.Stats.mean s.Raid_util.Stats.stddev
-             s.Raid_util.Stats.min s.Raid_util.Stats.p50 s.Raid_util.Stats.p95
-             s.Raid_util.Stats.p99 s.Raid_util.Stats.max)
-      end)
-    (Metrics.latency_groups metrics);
-  Buffer.contents buffer
-
 let write_file ~path contents =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc contents)

@@ -16,10 +16,5 @@ val records_csv : Runner.result -> string
 (** One row per transaction: index, coordinator, committed, abort reason,
     copiers, elapsed ms, then one fail-lock-count column per site. *)
 
-val latency_summary_csv : Raid_core.Metrics.t -> string
-(** One row per non-empty latency group of
-    {!Raid_core.Metrics.latency_groups}: count, mean, stddev, min and
-    the 50/95/99 percentiles, in ms. *)
-
 val write_file : path:string -> string -> unit
 (** Write contents to [path] (creates/truncates). *)

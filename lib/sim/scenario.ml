@@ -23,4 +23,13 @@ type t = {
 
 let make ?(detection = Raid_core.Cluster.Immediate) ?(policy = Uniform_random) ?(seed = 42)
     ~config ~workload actions =
+  let num_sites = config.Raid_core.Config.num_sites in
+  Raid_core.Workload.validate workload ~num_items:config.Raid_core.Config.num_items;
+  List.iter
+    (function
+      | Fail site | Recover site | Run_until_recovered { site; _ } ->
+        if site < 0 || site >= num_sites then
+          invalid_arg (Printf.sprintf "Scenario: site %d out of range (%d sites)" site num_sites)
+      | Run_txns _ | Set_policy _ | Run_until_consistent _ -> ())
+    actions;
   { config; detection; workload; policy; seed; actions }

@@ -43,4 +43,7 @@ val make :
   workload:Raid_core.Workload.spec ->
   action list ->
   t
-(** Defaults: immediate detection, [Uniform_random] policy, seed 42. *)
+(** Defaults: immediate detection, [Uniform_random] policy, seed 42.
+    @raise Invalid_argument when the workload does not fit the
+    configuration (see {!Raid_core.Workload.validate}) or an action
+    names a site outside the cluster. *)

@@ -39,6 +39,11 @@ let make_config ?(tenants = 1) ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(wri
   (match duration_s with
   | Some d when d <= 0.0 -> invalid_arg "Soak: duration must be positive"
   | _ -> ());
+  if port < 0 || port > 65535 then invalid_arg "Soak: port outside 0-65535";
+  Workload.validate ~num_items:items
+    (match zipf_theta with
+    | None -> Workload.Uniform { max_ops; write_prob }
+    | Some theta -> Workload.Zipfian { max_ops; write_prob; theta });
   { tenants; sites; items; max_ops; write_prob; replication; zipf_theta; accel; sample; seed;
     port; duration_s }
 
@@ -408,7 +413,7 @@ let create cfg =
      operator fail/recover endpoints address, so its ring holds exactly
      the incidents those actions produce. *)
   let obs_trace = Trace.create () in
-  let obs_sink, obs_recorder = Monitor.attach_observatory reg obs_trace in
+  let obs_sink, obs_recorder = Tracing.attach_observatory reg obs_trace in
   let ccfg =
     Config.make ~replication:cfg.replication ~num_sites:cfg.sites ~num_items:cfg.items ()
   in

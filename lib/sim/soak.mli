@@ -95,8 +95,10 @@ val make_config :
 (** Defaults: 1 tenant, 16 sites, 500 items, txn <= 5 ops, P(write)
     0.5, full replication, uniform items, real time ([accel = 1.0]),
     100 virtual ms sampling, seed 42, ephemeral port, no duration
-    bound.  @raise Invalid_argument on non-positive sizes, a negative
-    [accel], or a non-positive [duration_s]. *)
+    bound.  @raise Invalid_argument on non-positive sizes, a
+    transaction mix {!Raid_core.Workload.validate} rejects, a negative
+    [accel], a non-positive [duration_s], or a [port] outside
+    0-65535. *)
 
 type t
 

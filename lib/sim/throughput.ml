@@ -30,6 +30,7 @@ let make_config ?(sites = 16) ?(items = 500) ?(max_ops = 5) ?(write_prob = 0.5)
   | Some theta when not (theta > 0.0 && theta < 1.0) ->
     invalid_arg "Throughput: zipf_theta must be in (0,1)"
   | _ -> ());
+  Workload.validate (Workload.Uniform { max_ops; write_prob }) ~num_items:items;
   (match failure with
   | None -> ()
   | Some { fail_site; fail_at_ms; recover_at_ms } ->

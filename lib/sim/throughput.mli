@@ -37,8 +37,10 @@ val make_config :
 (** Defaults: 16 sites, 500 items, txn <= 5 ops, P(write) 0.5, 10 000
     virtual ms, no failure, full replication, uniform items.
     @raise Invalid_argument on non-positive sizes/duration, a
-    [zipf_theta] outside (0,1), a failure plan on a 1-site cluster, an
-    out-of-range [fail_site], or [recover_at_ms <= fail_at_ms]. *)
+    [zipf_theta] outside (0,1), a transaction mix
+    {!Raid_core.Workload.validate} rejects, a failure plan on a 1-site
+    cluster, an out-of-range [fail_site], or [recover_at_ms <=
+    fail_at_ms]. *)
 
 val default_failure : duration_ms:float -> failure
 (** Site 0 down from 1/5 to 1/2 of the duration — computed once into

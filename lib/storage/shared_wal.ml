@@ -100,7 +100,3 @@ let stats (t : t) : stats =
     bytes_logged = t.bytes_logged;
     digest = t.digest;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf "@[<h>records=%d flushes=%d pages=%d bytes=%d digest=%x@]" s.records
-    s.flushes s.pages s.bytes_logged s.digest

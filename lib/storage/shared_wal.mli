@@ -68,5 +68,3 @@ val pending : t -> int
 val stats : t -> stats
 (** Deterministic given the record sequence.  Call after a final
     {!flush} if every record must be accounted to a page. *)
-
-val pp_stats : Format.formatter -> stats -> unit

@@ -275,6 +275,37 @@ let test_exports_deterministic () =
   in
   Alcotest.(check bool) "two runs render byte-identically" true (a = b)
 
+(* The scenario registry: every named scenario (exp1 included) resolves,
+   runs, and renders every view of the one observed run byte-identically
+   on a second run. *)
+let test_every_scenario_renders_deterministically () =
+  let render name =
+    match Tracing.scenario_of_name name with
+    | Error e -> Alcotest.fail e
+    | Ok scenario ->
+      let output = Tracing.run scenario in
+      Alcotest.(check int) (name ^ ": nothing dropped") 0 (Trace.dropped output.Tracing.trace);
+      List.map
+        (fun format -> Tracing.render ~format output)
+        [ `Jsonl; `Chrome; `Summary; `Prom; `Csv ]
+      @ [
+          String.concat "\n"
+            (List.map
+               (fun tree -> Json.to_string (Raid_obs.Span.json tree))
+               (Tracing.spans output));
+          Raid_obs.Incident.to_csv (Tracing.incidents output);
+        ]
+  in
+  Alcotest.(check bool) "exp1 is registered" true (List.mem_assoc "exp1" Tracing.scenarios);
+  List.iter
+    (fun (name, _) ->
+      let first = render name in
+      List.iter
+        (fun view -> Alcotest.(check bool) (name ^ ": view is non-empty") true (view <> ""))
+        first;
+      Alcotest.(check (list string)) (name ^ ": two runs render identically") first (render name))
+    Tracing.scenarios
+
 let test_untraced_run_unchanged () =
   (* Tracing must not perturb the simulation: the same scenario with and
      without the sink produces identical outcomes. *)
@@ -310,4 +341,6 @@ let suite =
     Alcotest.test_case "chrome: phases nest" `Quick test_chrome_phases_nest;
     Alcotest.test_case "deterministic exports" `Quick test_exports_deterministic;
     Alcotest.test_case "tracing is transparent" `Quick test_untraced_run_unchanged;
+    Alcotest.test_case "every named scenario renders deterministically" `Quick
+      test_every_scenario_renders_deterministically;
   ]

@@ -10,7 +10,6 @@ module Incident = Raid_obs.Incident
 module Trace = Raid_obs.Trace
 module Json = Raid_obs.Json
 module Tracing = Raid_sim.Tracing
-module Monitor = Raid_sim.Monitor
 module Runner = Raid_sim.Runner
 module Throughput = Raid_sim.Throughput
 module Crashmatrix = Raid_sim.Crashmatrix
@@ -18,11 +17,11 @@ module Metrics = Raid_core.Metrics
 module Vtime = Raid_net.Vtime
 
 let exp1 () =
-  match Monitor.scenario_of_name "exp1" with
+  match Tracing.scenario_of_name "exp1" with
   | Ok scenario -> scenario
   | Error message -> Alcotest.fail message
 
-let run_exp1 () = Tracing.run ~capacity:(1 lsl 20) (exp1 ())
+let run_exp1 () = Tracing.run (exp1 ())
 
 (* Every transaction the runner recorded has a span tree whose root
    duration equals the outcome's elapsed time — `raid explain` and the
@@ -79,9 +78,10 @@ let test_critical_path_sums_to_latency () =
 (* The ring collector only drops the oldest prefix, so a wrapped run
    marks the truncated trees instead of silently shortening them. *)
 let test_tiny_ring_flags_incomplete () =
-  let output = Tracing.run ~capacity:64 (exp1 ()) in
-  Alcotest.(check bool) "ring wrapped" true (Trace.dropped output.Tracing.trace > 0);
-  let trees = Tracing.spans output in
+  let collector = Trace.create ~capacity:64 () in
+  ignore (Runner.run ~obs:(Trace.sink collector) (exp1 ()));
+  Alcotest.(check bool) "ring wrapped" true (Trace.dropped collector > 0);
+  let trees = Span.assemble (Trace.entries collector) in
   Alcotest.(check bool) "a truncated tree is flagged incomplete" true
     (List.exists (fun tree -> not tree.Span.complete) trees);
   (* The survivors still render without raising. *)

@@ -7,7 +7,7 @@ module Telemetry = Raid_obs.Telemetry
 module Prom = Raid_obs.Prom
 module Series = Raid_obs.Series
 module Vtime = Raid_net.Vtime
-module Monitor = Raid_sim.Monitor
+module Tracing = Raid_sim.Tracing
 module Runner = Raid_sim.Runner
 module Throughput = Raid_sim.Throughput
 
@@ -164,37 +164,37 @@ let test_label_value_escaping () =
 
 (* {2 End-to-end: the raid metrics pipeline} *)
 
-let monitor_output =
+let exp1_output =
   lazy
-    (match Monitor.scenario_of_name "exp1" with
+    (match Tracing.scenario_of_name "exp1" with
     | Error e -> failwith e
-    | Ok scenario -> Monitor.run scenario)
+    | Ok scenario -> Tracing.run scenario)
 
-let test_monitor_deterministic () =
-  let render output = (Monitor.prom output, Monitor.csv output) in
-  let a = render (Lazy.force monitor_output) in
+let test_metrics_deterministic () =
+  let render output = (Tracing.prom output, Tracing.csv output) in
+  let a = render (Lazy.force exp1_output) in
   let b =
-    match Monitor.scenario_of_name "exp1" with
+    match Tracing.scenario_of_name "exp1" with
     | Error e -> failwith e
-    | Ok scenario -> render (Monitor.run scenario)
+    | Ok scenario -> render (Tracing.run scenario)
   in
   Alcotest.(check bool) "two instrumented runs render byte-identically" true (a = b);
   Alcotest.(check bool) "series were sampled" true
-    (Telemetry.samples_taken (Lazy.force monitor_output).Monitor.registry > 1)
+    (Telemetry.samples_taken (Lazy.force exp1_output).Tracing.registry > 1)
 
-let test_monitor_counters_match_result () =
-  let output = Lazy.force monitor_output in
-  let registry = output.Monitor.registry in
+let test_metrics_counters_match_result () =
+  let output = Lazy.force exp1_output in
+  let registry = output.Tracing.registry in
   let value name =
     match Telemetry.find registry name with
     | Some view -> view.Telemetry.v_value
     | None -> Alcotest.fail (name ^ " not registered")
   in
   Alcotest.check feq "committed counter mirrors the run"
-    (float_of_int output.Monitor.result.Runner.committed)
+    (float_of_int output.Tracing.result.Runner.committed)
     (value "raid_txns_committed_total");
   Alcotest.check feq "aborted counter mirrors the run"
-    (float_of_int output.Monitor.result.Runner.aborted)
+    (float_of_int output.Tracing.result.Runner.aborted)
     (value "raid_txns_aborted_total");
   Alcotest.(check bool) "engine processed events" true (value "raid_engine_events_total" > 0.0);
   Alcotest.(check bool) "heap high-water observed" true
@@ -222,7 +222,7 @@ let test_monitor_counters_match_result () =
         else acc)
       0.0 (Telemetry.views registry)
   in
-  let cluster = output.Monitor.result.Runner.cluster in
+  let cluster = output.Tracing.result.Runner.cluster in
   let clock_us = float_of_int (Raid_net.Engine.now (Raid_core.Cluster.engine cluster)) in
   Alcotest.(check bool) "per-kind virtual time bounded by clock * sites" true
     (vtime_us > 0.0
@@ -238,13 +238,13 @@ let test_telemetry_is_transparent () =
           r.Runner.faillocks_per_site ))
       result.Runner.records
   in
-  (match Monitor.scenario_of_name "exp1" with
+  (match Tracing.scenario_of_name "exp1" with
   | Error e -> failwith e
   | Ok scenario ->
     let plain = Runner.run scenario in
-    let instrumented = Lazy.force monitor_output in
+    let instrumented = Lazy.force exp1_output in
     Alcotest.(check bool) "runner outcomes unchanged" true
-      (outcomes plain = outcomes instrumented.Monitor.result));
+      (outcomes plain = outcomes instrumented.Tracing.result));
   let config = Throughput.make_config ~sites:4 ~items:20 ~duration_ms:800.0 () in
   let strip (r : Throughput.result) =
     (r.Throughput.seed, r.Throughput.submitted, r.Throughput.committed, r.Throughput.aborted,
@@ -291,8 +291,8 @@ let suite =
     Alcotest.test_case "sampling grid" `Quick test_sampling_grid;
     Alcotest.test_case "exports sorted and escaped" `Quick test_exports_sorted_and_escaped;
     Alcotest.test_case "hostile label values escaped" `Quick test_label_value_escaping;
-    Alcotest.test_case "monitor deterministic" `Quick test_monitor_deterministic;
-    Alcotest.test_case "counters match result" `Quick test_monitor_counters_match_result;
+    Alcotest.test_case "monitor deterministic" `Quick test_metrics_deterministic;
+    Alcotest.test_case "counters match result" `Quick test_metrics_counters_match_result;
     Alcotest.test_case "telemetry is transparent" `Quick test_telemetry_is_transparent;
     Alcotest.test_case "concurrent lock gauges" `Quick test_concurrent_lock_gauges;
   ]
